@@ -428,15 +428,13 @@ mod tests {
         let (train, test) = archive::generate_split(&entry, 24);
         let (scfg, ccfg) = quick_cfg();
         let (model, _) = TimeCsl::pretrain(&train, Some(scfg), &ccfg);
-        let dir = std::env::temp_dir().join("tcsl_pipeline_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tcsl_error::TempDir::new("pipeline_save_load").unwrap();
         let path = dir.join("model.tcsl");
         model.save(&path).unwrap();
         let loaded = TimeCsl::load(&path).unwrap();
         let a = model.transform(&test).unwrap();
         let b = loaded.transform(&test).unwrap();
         assert!(a.max_abs_diff(&b) < 1e-5);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

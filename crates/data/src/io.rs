@@ -205,14 +205,12 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("tcsl_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tcsl_error::TempDir::new("io_file_round_trip").unwrap();
         let path = dir.join("toy.csv");
         let ds = toy();
         save_csv(&ds, &path).unwrap();
         let back = load_csv("toy", &path).unwrap();
         assert_eq!(back.len(), ds.len());
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -262,13 +262,11 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("tcsl_ts_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = tcsl_error::TempDir::new("io_ts_file_round_trip").unwrap();
         let path = dir.join("toy.ts");
         std::fs::write(&path, SAMPLE).unwrap();
         let f = load_ts("toy", &path).unwrap();
         assert_eq!(f.dataset.len(), 3);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -338,9 +338,58 @@ pub fn write_file(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> TcslRes
     std::fs::write(&path, contents).map_err(|e| TcslError::io(&path, e))
 }
 
+/// A uniquely named scratch directory under the system temp dir, removed
+/// with its contents on drop. The name joins a caller tag (the test's
+/// name), the process id and a process-wide counter, so tests running in
+/// parallel threads or concurrent processes never share a path.
+#[derive(Debug)]
+pub struct TempDir {
+    path: PathBuf,
+}
+
+impl TempDir {
+    /// Creates `$TMP/tcsl-<tag>-<pid>-<n>`.
+    pub fn new(tag: &str) -> TcslResult<TempDir> {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("tcsl-{tag}-{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&path).map_err(|e| TcslError::io(&path, e))?;
+        Ok(TempDir { path })
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// A path inside the directory.
+    pub fn join(&self, name: impl AsRef<Path>) -> PathBuf {
+        self.path.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn temp_dirs_are_unique_and_removed_on_drop() {
+        let a = TempDir::new("unique").unwrap();
+        let b = TempDir::new("unique").unwrap();
+        assert_ne!(a.path(), b.path());
+        std::fs::write(a.join("f.txt"), "x").unwrap();
+        let kept = a.path().to_path_buf();
+        drop(a);
+        assert!(!kept.exists());
+        assert!(b.path().is_dir());
+    }
 
     #[test]
     fn classes_have_distinct_exit_codes_and_names() {

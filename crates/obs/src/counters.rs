@@ -195,6 +195,11 @@ pub static WINDOW_CACHE_MISS: Counter = Counter::new("window_cache.miss");
 pub static DOT_DISPATCH_AVX2_FMA: Counter = Counter::new("dot.dispatch.avx2_fma");
 /// Dot products that took the portable scalar kernel (same batch counting).
 pub static DOT_DISPATCH_SCALAR: Counter = Counter::new("dot.dispatch.scalar");
+/// Short-row dots computed eight stride-1 windows at a time by the
+/// across-window AVX2 kernel (`tcsl_tensor::window::sliding_dots`), whose
+/// values are bit-identical to the scalar kernel's. Each row's < 8
+/// remainder windows still count under [`DOT_DISPATCH_SCALAR`].
+pub static DOT_DISPATCH_AVX2_WIN8: Counter = Counter::new("dot.dispatch.avx2_win8");
 /// Mixed-precision f16 dots dispatched to the AVX-512F kernel (16 taps
 /// per `vcvtph2ps`, f32 accumulation in 512-bit lanes).
 pub static DOT_DISPATCH_F16_AVX512: Counter = Counter::new("dot.dispatch.f16_avx512");
@@ -291,6 +296,7 @@ static WELL_KNOWN: &[&Counter] = &[
     &WINDOW_CACHE_MISS,
     &DOT_DISPATCH_AVX2_FMA,
     &DOT_DISPATCH_SCALAR,
+    &DOT_DISPATCH_AVX2_WIN8,
     &DOT_DISPATCH_F16_AVX512,
     &DOT_DISPATCH_F16C,
     &DOT_DISPATCH_F16_SCALAR,

@@ -8,6 +8,13 @@
 //! * **Zero-materialization windows** — per-shapelet dot products read the
 //!   overlapping windows directly out of the original contiguous series
 //!   buffer ([`tcsl_tensor::window::window_dot`]).
+//! * **Across-window short rows** — stride-1 scales shorter than the FMA
+//!   threshold ([`tcsl_tensor::window::across_windows`]) pool shapelet by
+//!   shapelet through [`tcsl_tensor::window::sliding_dots`], which scores
+//!   eight windows per tap pass on AVX2. Its values are bit-identical to
+//!   the per-window kernels, and windows are still scored in ascending
+//!   order, so pooled values and argmin ties do not depend on which path
+//!   ran.
 //! * **Prefix-sum window norms** — one O(T) pass per scale
 //!   ([`tcsl_tensor::window::window_sq_norms`]) yields `‖w‖²` in O(1) per
 //!   window, shared by all shapelets and measures of the scale
@@ -23,12 +30,19 @@
 //! Peak per-series allocation is O(D·T + N_w + K) — no term proportional
 //! to `N_w × D·len`. All engines funnel scoring through
 //! [`Measure::finish`], and agree with the unfold oracle to f32 round-off
-//! (property-tested in `crate::proptests`).
+//! (property-tested in `crate::proptests`). The f32 fused engine
+//! ([`pool_rows`]) and its localization sibling ([`row_scores`]) also
+//! serve the quantized bank's sub-`QUANT_MIN_LEN` rows, so there is one
+//! short-row path.
 
 use crate::bank::{GroupPrecomp, ShapeletGroup};
 use crate::measure::Measure;
 use crate::transform::pad_to_len;
-use tcsl_tensor::window::{count_windows, window_dot, window_dot4, window_sq_norms};
+use tcsl_tensor::matmul::count_dot_dispatch;
+use tcsl_tensor::window::{
+    across_windows, count_sliding_dispatch, count_windows, sliding_dots, window_dot, window_dot4,
+    window_sq_norms,
+};
 use tcsl_tensor::Tensor;
 
 /// Series-side state for one (scale, stride): the padded series plus the
@@ -120,11 +134,8 @@ pub fn pool_measure(
 /// Per-window scores of a single shapelet of the group — the streaming
 /// replacement for one `score_matrix` column, used by best-match
 /// localization (which needs every window's score, not just the pooled
-/// one).
-///
-/// Mirrors the fused pooling engine's shapelet blocking (blocks of 4 via
-/// [`window_dot4`], remainder via [`window_dot`]), so the score of shapelet
-/// `k` here is bit-identical to the one [`pool_group_fused`] pooled over —
+/// one). Computed by [`row_scores`], so the score of shapelet `k` here is
+/// bit-identical to the one [`pool_group_fused`] pooled over —
 /// localization provably explains the feature value.
 pub fn shapelet_scores(
     sw: &ScaleWindows,
@@ -137,31 +148,52 @@ pub fn shapelet_scores(
         "shapelet {k} out of range for group of {}",
         g.k()
     );
+    row_scores(sw, g.measure, &pre.sq_norms, &pre.inv_norms, k, |r| {
+        pre.tap_row(r)
+    })
+}
+
+/// Per-window scores of shapelet `k` of a set of f32 tap rows (`row(r)`
+/// is row `r`, `sq_norms`/`inv_norms` its norms) — the localization
+/// sibling of [`pool_rows`], computing each cross term with the same
+/// kernel: [`sliding_dots`] for [`across_windows`] shapes, else the same
+/// 4-row block (via [`window_dot4`]) or lone [`window_dot`] pooling used.
+pub(crate) fn row_scores<'a>(
+    sw: &ScaleWindows,
+    measure: Measure,
+    sq_norms: &[f32],
+    inv_norms: &[f32],
+    k: usize,
+    row: impl Fn(usize) -> &'a [f32],
+) -> Vec<f32> {
     let d = sw.padded.rows();
     let width = (d * sw.len) as f32;
-    let (s_sq, s_inv) = (pre.sq_norms[k], pre.inv_norms[k]);
-    let full = g.k() - g.k() % 4;
+    let (s_sq, s_inv) = (sq_norms[k], inv_norms[k]);
     let mut out = Vec::with_capacity(sw.n);
+    if across_windows(sw.len, sw.stride) {
+        count_sliding_dispatch(d, sw.len, sw.stride, sw.n, 1);
+        sliding_dots(&sw.padded, row(k), sw.len, sw.stride, &mut out);
+        for (w, c) in out.iter_mut().enumerate() {
+            *c = score(measure, *c, sw, w, s_sq, s_inv, width);
+        }
+        return out;
+    }
+    let full = sq_norms.len() - sq_norms.len() % 4;
     if k < full {
-        tcsl_tensor::matmul::count_dot_dispatch(sw.len, (4 * d * sw.n) as u64);
+        count_dot_dispatch(sw.len, (4 * d * sw.n) as u64);
         let kb = k / 4 * 4;
         let j = k - kb;
-        let taps = [
-            pre.tap_row(kb),
-            pre.tap_row(kb + 1),
-            pre.tap_row(kb + 2),
-            pre.tap_row(kb + 3),
-        ];
+        let taps = [row(kb), row(kb + 1), row(kb + 2), row(kb + 3)];
         for w in 0..sw.n {
             let cross = window_dot4(&sw.padded, taps, w * sw.stride, sw.len)[j];
-            out.push(score(g.measure, cross, sw, w, s_sq, s_inv, width));
+            out.push(score(measure, cross, sw, w, s_sq, s_inv, width));
         }
     } else {
-        tcsl_tensor::matmul::count_dot_dispatch(sw.len, (d * sw.n) as u64);
-        let taps = pre.tap_row(k);
+        count_dot_dispatch(sw.len, (d * sw.n) as u64);
+        let taps = row(k);
         for w in 0..sw.n {
             let cross = window_dot(&sw.padded, taps, w * sw.stride, sw.len);
-            out.push(score(g.measure, cross, sw, w, s_sq, s_inv, width));
+            out.push(score(measure, cross, sw, w, s_sq, s_inv, width));
         }
     }
     out
@@ -189,67 +221,76 @@ pub(crate) fn score(
     }
 }
 
-/// Fully fused engine: shapelet-major, one streaming pass over the series
-/// per block of 4 shapelets (the load-sharing [`window_dot4`] kernel keeps
-/// the window in registers across the block), O(1) extra memory. Best when
-/// the series fits in cache (the common case — a 4k-step univariate series
-/// is 16 KiB).
+/// Fully fused engine: shapelet-major, O(1) extra memory beyond one
+/// `N_w`-float scratch row. Best when the series fits in cache (the common
+/// case — a 4k-step univariate series is 16 KiB). See [`pool_rows`].
 pub(crate) fn pool_group_fused(
     sw: &ScaleWindows,
     measure: Measure,
     pre: &GroupPrecomp,
 ) -> (Vec<f32>, Vec<usize>) {
+    pool_rows(sw, measure, &pre.sq_norms, &pre.inv_norms, |r| {
+        pre.tap_row(r)
+    })
+}
+
+/// The fused engine over f32 tap rows (`row(r)` is row `r`,
+/// `sq_norms`/`inv_norms` its norms). Short stride-1 scales
+/// ([`across_windows`]) take one [`sliding_dots`] pass per shapelet into a
+/// reused scratch row, then score its windows in ascending order. Every
+/// other scale takes one streaming pass per block of 4 shapelets (the
+/// load-sharing [`window_dot4`] kernel keeps the window in registers
+/// across the block) and [`window_dot`] for the remainder. Both paths
+/// produce the same bits and argmins; only the kernel differs.
+pub(crate) fn pool_rows<'a>(
+    sw: &ScaleWindows,
+    measure: Measure,
+    sq_norms: &[f32],
+    inv_norms: &[f32],
+    row: impl Fn(usize) -> &'a [f32],
+) -> (Vec<f32>, Vec<usize>) {
     let d = sw.padded.rows();
     let width = (d * sw.len) as f32;
-    let k = pre.sq_norms.len();
-    // One gate check for the whole pool call: k dots per window, one
-    // length-only dispatch decision shared by every one of them.
-    tcsl_tensor::matmul::count_dot_dispatch(sw.len, (k * d * sw.n) as u64);
+    let k = sq_norms.len();
     let mut pooled = vec![f32::NAN; k];
     let mut args = vec![0usize; k];
-    let full = k - k % 4;
-    for kb in (0..full).step_by(4) {
-        let taps = [
-            pre.tap_row(kb),
-            pre.tap_row(kb + 1),
-            pre.tap_row(kb + 2),
-            pre.tap_row(kb + 3),
-        ];
-        for w in 0..sw.n {
-            let cross = window_dot4(&sw.padded, taps, w * sw.stride, sw.len);
-            for (j, &c) in cross.iter().enumerate() {
-                let kk = kb + j;
-                let s = score(
-                    measure,
-                    c,
-                    sw,
-                    w,
-                    pre.sq_norms[kk],
-                    pre.inv_norms[kk],
-                    width,
-                );
-                if w == 0 || measure.better(s, pooled[kk]) {
-                    pooled[kk] = s;
-                    args[kk] = w;
+    let mut update = |kk: usize, w: usize, cross: f32| {
+        let s = score(measure, cross, sw, w, sq_norms[kk], inv_norms[kk], width);
+        if w == 0 || measure.better(s, pooled[kk]) {
+            pooled[kk] = s;
+            args[kk] = w;
+        }
+    };
+    // One gate check for the whole pool call: k rows of dots, one
+    // shape-only dispatch decision shared by every one of them.
+    if across_windows(sw.len, sw.stride) {
+        count_sliding_dispatch(d, sw.len, sw.stride, sw.n, k);
+        let mut cross = Vec::with_capacity(sw.n);
+        for kk in 0..k {
+            cross.clear();
+            sliding_dots(&sw.padded, row(kk), sw.len, sw.stride, &mut cross);
+            for (w, &c) in cross.iter().enumerate() {
+                update(kk, w, c);
+            }
+        }
+    } else {
+        count_dot_dispatch(sw.len, (k * d * sw.n) as u64);
+        let full = k - k % 4;
+        for kb in (0..full).step_by(4) {
+            let taps = [row(kb), row(kb + 1), row(kb + 2), row(kb + 3)];
+            for w in 0..sw.n {
+                let cross = window_dot4(&sw.padded, taps, w * sw.stride, sw.len);
+                for (j, &c) in cross.iter().enumerate() {
+                    update(kb + j, w, c);
                 }
             }
         }
-    }
-    for kk in full..k {
-        let taps = pre.tap_row(kk);
-        let (s_sq, s_inv) = (pre.sq_norms[kk], pre.inv_norms[kk]);
-        let mut best = f32::NAN;
-        let mut best_w = 0usize;
-        for w in 0..sw.n {
-            let cross = window_dot(&sw.padded, taps, w * sw.stride, sw.len);
-            let s = score(measure, cross, sw, w, s_sq, s_inv, width);
-            if w == 0 || measure.better(s, best) {
-                best = s;
-                best_w = w;
+        for kk in full..k {
+            let taps = row(kk);
+            for w in 0..sw.n {
+                update(kk, w, window_dot(&sw.padded, taps, w * sw.stride, sw.len));
             }
         }
-        pooled[kk] = best;
-        args[kk] = best_w;
     }
     (pooled, args)
 }
@@ -270,7 +311,7 @@ pub(crate) fn pool_group_blocked(
     let width = row_w as f32;
     let k = pre.sq_norms.len();
     // Blocked rows are the full d·len window, so dispatch is on row_w.
-    tcsl_tensor::matmul::count_dot_dispatch(row_w, (k * sw.n) as u64);
+    count_dot_dispatch(row_w, (k * sw.n) as u64);
     let mut pooled = vec![f32::NAN; k];
     let mut args = vec![0usize; k];
     let mut tile = vec![0.0f32; TILE_WINDOWS.min(sw.n) * row_w];
@@ -306,6 +347,81 @@ pub(crate) fn pool_group_blocked(
         tile_start += tile_n;
     }
     (pooled, args)
+}
+
+/// Test oracle for the short-row path: the block-of-4 fused loop on every
+/// scale — blocks of 4 shapelets via [`window_dot4`], the remainder via
+/// [`window_dot`]. Returns the pooled values, argmins and every per-window
+/// score (`scores[k][w]`).
+#[cfg(test)]
+#[allow(clippy::type_complexity)]
+pub(crate) fn dot4_loop_oracle<'a>(
+    sw: &ScaleWindows,
+    measure: Measure,
+    sq_norms: &[f32],
+    inv_norms: &[f32],
+    row: impl Fn(usize) -> &'a [f32],
+) -> (Vec<f32>, Vec<usize>, Vec<Vec<f32>>) {
+    let d = sw.padded.rows();
+    let width = (d * sw.len) as f32;
+    let k = sq_norms.len();
+    let mut pooled = vec![f32::NAN; k];
+    let mut args = vec![0usize; k];
+    let mut scores = vec![Vec::with_capacity(sw.n); k];
+    let full = k - k % 4;
+    for kb in (0..full).step_by(4) {
+        let taps = [row(kb), row(kb + 1), row(kb + 2), row(kb + 3)];
+        for w in 0..sw.n {
+            let cross = window_dot4(&sw.padded, taps, w * sw.stride, sw.len);
+            for (j, &c) in cross.iter().enumerate() {
+                let kk = kb + j;
+                let s = score(measure, c, sw, w, sq_norms[kk], inv_norms[kk], width);
+                scores[kk].push(s);
+                if w == 0 || measure.better(s, pooled[kk]) {
+                    pooled[kk] = s;
+                    args[kk] = w;
+                }
+            }
+        }
+    }
+    for kk in full..k {
+        let taps = row(kk);
+        for w in 0..sw.n {
+            let cross = window_dot(&sw.padded, taps, w * sw.stride, sw.len);
+            let s = score(measure, cross, sw, w, sq_norms[kk], inv_norms[kk], width);
+            scores[kk].push(s);
+            if w == 0 || measure.better(s, pooled[kk]) {
+                pooled[kk] = s;
+                args[kk] = w;
+            }
+        }
+    }
+    (pooled, args, scores)
+}
+
+/// Test inputs for the bit-identity checks: random values with a
+/// periodic stretch (identical windows, so exact argmin ties), a zero run
+/// (all-zero windows) and signed zeros.
+#[cfg(test)]
+pub(crate) fn tie_heavy_series(d: usize, t: usize, seed: u64) -> Tensor {
+    let mut v = Tensor::randn([d, t], &mut tcsl_tensor::rng::seeded(seed)).into_vec();
+    for (i, x) in v.iter_mut().enumerate() {
+        let ti = i % t;
+        if ti < t / 3 {
+            *x = [0.5, -1.0, 0.25, 2.0, -0.0][ti % 5];
+        } else if ti < t / 2 {
+            *x = if ti.is_multiple_of(2) { 0.0 } else { -0.0 };
+        }
+    }
+    Tensor::from_vec(v, [d, t])
+}
+
+#[cfg(test)]
+pub(crate) fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs {w}");
+    }
 }
 
 #[cfg(test)]
@@ -411,5 +527,38 @@ mod tests {
         let (via_dispatch, _) = pool_group(&sw, g, &pre[0]);
         let (via_blocked, _) = pool_group_blocked(&sw, g.measure, &pre[0]);
         assert_eq!(via_dispatch, via_blocked);
+    }
+
+    #[test]
+    fn short_row_path_bit_identical_to_dot4_loop() {
+        // Stride-1 sub-FMA_MIN_LEN scales take the across-window path; the
+        // stride-2 and len-70 cases pin the unchanged block-of-4 path.
+        for &(d, t, len, stride, k) in &[
+            (1usize, 128usize, 13usize, 1usize, 5usize),
+            (1, 128, 26, 1, 4),
+            (2, 61, 9, 1, 7),
+            (3, 40, 63, 1, 3),
+            (1, 20, 30, 1, 2),
+            (2, 90, 11, 2, 5),
+            (1, 150, 70, 1, 5),
+        ] {
+            let (mut bank, _) = setup(d, t, len, stride, k);
+            bank.randomize(&mut seeded(len as u64));
+            let series = tie_heavy_series(d, t, 7 + len as u64);
+            let pre = bank.precomputed();
+            for (gi, g) in bank.groups().iter().enumerate() {
+                let sw = ScaleWindows::new(&series, g.len, g.stride);
+                let p = &pre[gi];
+                let (want, want_args, want_scores) =
+                    dot4_loop_oracle(&sw, g.measure, &p.sq_norms, &p.inv_norms, |r| p.tap_row(r));
+                let (pooled, args) = pool_group_fused(&sw, g.measure, p);
+                let what = format!("d={d} len={len} stride={stride} {:?}", g.measure);
+                assert_bits_eq(&pooled, &want, &what);
+                assert_eq!(args, want_args, "{what} argmins");
+                for (kk, col) in want_scores.iter().enumerate() {
+                    assert_bits_eq(&shapelet_scores(&sw, g, p, kk), col, &what);
+                }
+            }
+        }
     }
 }

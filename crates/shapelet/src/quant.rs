@@ -22,7 +22,9 @@
 //!   argmin tie-breaking (`w == 0 || measure.better(..)`) exactly; only the
 //!   dot kernel differs.
 
-use crate::fused::{score, ScaleWindows, BLOCKED_SERIES_BYTES, TILE_WINDOWS};
+use crate::fused::{
+    pool_rows, row_scores, score, ScaleWindows, BLOCKED_SERIES_BYTES, TILE_WINDOWS,
+};
 use crate::measure::Measure;
 use tcsl_tensor::matmul::{count_dot_dispatch, dot};
 use tcsl_tensor::quant::{
@@ -31,7 +33,6 @@ use tcsl_tensor::quant::{
     window_dot2_i16, window_dot2x4_f16, window_dot2x4_i16, window_dot4_f16, window_dot4_i16,
     window_dot_f16, window_dot_i16, QuantScheme, QUANT_MIN_LEN,
 };
-use tcsl_tensor::window::{window_dot, window_dot4};
 use tcsl_tensor::Tensor;
 
 /// Inference precision of a [`crate::ShapeletBank`]: full f32, or one of the
@@ -330,13 +331,21 @@ fn pool_quant_fused(
     measure: Measure,
     qp: &QuantizedPrecomp,
 ) -> (Vec<f32>, Vec<usize>) {
+    let (stride, w_len) = (qp.tap_stride, qp.row_len);
+    // Sub-threshold rows pool through the f32 fused engine on the
+    // dequantized copy (see `QuantizedPrecomp::deq_taps`) and count as f32
+    // dispatch — the mixed-precision kernels never run for them.
+    if let Some(rows) = &qp.deq_taps {
+        return pool_rows(sw, measure, &qp.sq_norms, &qp.inv_norms, |r| {
+            &rows[r * stride..r * stride + w_len]
+        });
+    }
     let d = sw.padded.rows();
     let width = (d * sw.len) as f32;
     let k = qp.k();
     let mut pooled = vec![f32::NAN; k];
     let mut args = vec![0usize; k];
     let full = k - k % 4;
-    let (stride, w_len) = (qp.tap_stride, qp.row_len);
     let update = |kk: usize, w: usize, cross: f32, pooled: &mut [f32], args: &mut [usize]| {
         let s = score(
             measure,
@@ -352,30 +361,6 @@ fn pool_quant_fused(
             args[kk] = w;
         }
     };
-    // Sub-threshold rows pool through the plain f32 kernels on the
-    // dequantized copy (see `QuantizedPrecomp::deq_taps`) and count as f32
-    // dispatch — the mixed-precision kernels never run for them.
-    if let Some(rows) = &qp.deq_taps {
-        count_dot_dispatch(sw.len, (k * d * sw.n) as u64);
-        let row = |r: usize| &rows[r * stride..r * stride + w_len];
-        for kb in (0..full).step_by(4) {
-            let taps = [row(kb), row(kb + 1), row(kb + 2), row(kb + 3)];
-            for w in 0..sw.n {
-                let cross = window_dot4(&sw.padded, taps, w * sw.stride, sw.len);
-                for (j, &c) in cross.iter().enumerate() {
-                    update(kb + j, w, c, &mut pooled, &mut args);
-                }
-            }
-        }
-        for kk in full..k {
-            let taps = row(kk);
-            for w in 0..sw.n {
-                let cross = window_dot(&sw.padded, taps, w * sw.stride, sw.len);
-                update(kk, w, cross, &mut pooled, &mut args);
-            }
-        }
-        return (pooled, args);
-    }
     count_quant_dot_dispatch(qp.scheme(), sw.len, (k * d * sw.n) as u64);
     // Wide rows stream in 2-row blocks (see PAIR_BLOCK_MIN_ROW); the pair
     // kernels keep the per-row accumulation order of the 4-row kernels, so
@@ -559,36 +544,19 @@ pub fn shapelet_scores_quant(
         "shapelet {k} out of range for group of {}",
         qp.k()
     );
-    let d = sw.padded.rows();
-    let width = (d * sw.len) as f32;
-    let (s_sq, s_inv) = (qp.sq_norms[k], qp.inv_norms[k]);
-    let full = qp.k() - qp.k() % 4;
     let (stride, w_len) = (qp.tap_stride, qp.row_len);
-    let mut out = Vec::with_capacity(sw.n);
-    let blocked = k < full;
-    // Sub-threshold rows localize through the plain f32 kernels on the
+    // Sub-threshold rows localize through the f32 engine's sibling on the
     // dequantized copy — the exact path pooling took, so score == feature
     // value still holds bit-for-bit.
     if let Some(rows) = &qp.deq_taps {
-        count_dot_dispatch(sw.len, ((if blocked { 4 } else { 1 }) * d * sw.n) as u64);
-        let row = |r: usize| &rows[r * stride..r * stride + w_len];
-        if blocked {
-            let kb = k / 4 * 4;
-            let j = k - kb;
-            let taps = [row(kb), row(kb + 1), row(kb + 2), row(kb + 3)];
-            for w in 0..sw.n {
-                let cross = window_dot4(&sw.padded, taps, w * sw.stride, sw.len)[j];
-                out.push(score(measure, cross, sw, w, s_sq, s_inv, width));
-            }
-        } else {
-            let taps = row(k);
-            for w in 0..sw.n {
-                let cross = window_dot(&sw.padded, taps, w * sw.stride, sw.len);
-                out.push(score(measure, cross, sw, w, s_sq, s_inv, width));
-            }
-        }
-        return out;
+        return row_scores(sw, measure, &qp.sq_norms, &qp.inv_norms, k, |r| {
+            &rows[r * stride..r * stride + w_len]
+        });
     }
+    let d = sw.padded.rows();
+    let width = (d * sw.len) as f32;
+    let (s_sq, s_inv) = (qp.sq_norms[k], qp.inv_norms[k]);
+    let mut out = Vec::with_capacity(sw.n);
     // Mirror pool_quant_fused's block-width decision exactly: the same
     // kernel must compute this shapelet's cross terms here as did during
     // pooling, or `score == pooled feature` would only hold to round-off.
@@ -857,6 +825,38 @@ mod tests {
             let deq = qp.dequantized();
             let again = QuantizedPrecomp::of(&deq, QuantScheme::F16);
             assert_eq!(again.dequantized(), deq);
+        }
+    }
+
+    #[test]
+    fn deq_rows_bit_identical_to_dot4_loop() {
+        // Sub-QUANT_MIN_LEN rows pool and localize through the f32 fused
+        // engine on the dequantized copy; on stride-1 short scales that is
+        // the across-window path, which must reproduce the block-of-4
+        // reference loop bit for bit.
+        use crate::fused::{assert_bits_eq, dot4_loop_oracle, tie_heavy_series};
+        for &(d, len, k) in &[(1usize, 13usize, 5usize), (2, 9, 7), (3, 20, 3)] {
+            let b = bank(d, len, k);
+            let series = tie_heavy_series(d, 64, len as u64);
+            for scheme in [QuantScheme::F16, QuantScheme::I16] {
+                for g in b.groups() {
+                    let qp = QuantizedPrecomp::of(&g.shapelets, scheme);
+                    assert!(qp.deq_taps.is_some(), "row of {} must dequantize", d * len);
+                    let deq = qp.dequantized();
+                    let sw = ScaleWindows::new(&series, g.len, g.stride);
+                    let (want, want_args, want_scores) =
+                        dot4_loop_oracle(&sw, g.measure, &qp.sq_norms, &qp.inv_norms, |r| {
+                            deq.row(r)
+                        });
+                    let (pooled, args) = pool_quant_fused(&sw, g.measure, &qp);
+                    let what = format!("{scheme:?} d={d} len={len} {:?}", g.measure);
+                    assert_bits_eq(&pooled, &want, &what);
+                    assert_eq!(args, want_args, "{what} argmins");
+                    for (kk, col) in want_scores.iter().enumerate() {
+                        assert_bits_eq(&shapelet_scores_quant(&sw, g.measure, &qp, kk), col, &what);
+                    }
+                }
+            }
         }
     }
 }

@@ -36,8 +36,12 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// On x86-64 with AVX2+FMA (detected at runtime, so portable builds still
 /// work everywhere) this uses the intrinsics path below; elsewhere it falls
-/// back to [`dot_scalar`]. Every scoring engine calls this same function,
-/// so fused/blocked/oracle transforms see identical dot-product rounding.
+/// back to [`dot_scalar`]. Dispatch depends only on the length, so every
+/// scoring engine sees identical dot-product rounding for the same
+/// operands. The one engine-side kernel that does not call this function —
+/// the across-window [`crate::window::sliding_dots`] for stride-1 windows
+/// under [`FMA_MIN_LEN`] — reproduces [`dot_scalar`]'s rounding bit for
+/// bit, so the guarantee holds there too.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -53,7 +57,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// intrinsics path costs more than it saves; the scalar kernel inlines
 /// into the caller's loop. Dispatch depends only on the length, so every
 /// engine sees the same rounding for the same operands.
-const FMA_MIN_LEN: usize = 64;
+pub(crate) const FMA_MIN_LEN: usize = 64;
 
 /// Records `n` dot products of operand length `len` against the
 /// `dot.dispatch.*` counters — the same length-only decision [`dot`] and
@@ -104,7 +108,9 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// loop (4 shapelets of a group per streaming pass).
 ///
 /// Dispatch depends only on the length, so any two call sites given the
-/// same operands produce bit-identical results.
+/// same operands produce bit-identical results; under [`FMA_MIN_LEN`] each
+/// of the four is exactly a [`dot_scalar`], the value the across-window
+/// [`crate::window::sliding_dots`] reproduces.
 #[inline]
 pub fn dot4(w: &[f32], t0: &[f32], t1: &[f32], t2: &[f32], t3: &[f32]) -> [f32; 4] {
     debug_assert!(

@@ -186,10 +186,31 @@ pub fn window_dot4(series: &Tensor, taps: [&[f32]; 4], start: usize, len: usize)
     cross
 }
 
+/// Whether [`sliding_dots`] computes this row shape eight windows per pass
+/// (given AVX2 at runtime): stride-1 windows shorter than the length at
+/// which [`crate::matmul::dot`] leaves the scalar kernel. Depends only on
+/// the shape, so an engine can pick its loop structure from it and still
+/// produce the same values on every CPU.
+pub fn across_windows(len: usize, stride: usize) -> bool {
+    stride == 1 && len < crate::matmul::FMA_MIN_LEN
+}
+
 /// Dot products of a flattened channel-major shapelet against **every**
 /// stride-`stride` window, streaming over the original series buffer — the
 /// zero-materialization replacement for `unfold` + one `matmul_transb`
 /// column. Appends `count_windows` values to `out`.
+///
+/// Every value is bit-identical to [`window_dot`] at the same start. For
+/// [`across_windows`] shapes on an AVX2 CPU, blocks of eight consecutive
+/// windows share one pass over the taps: each tap is broadcast once and
+/// met by one unaligned load of the eight windows' samples, with the
+/// lane accumulators, fold order and serial tail of
+/// [`crate::matmul::dot_scalar`] kept per window (mul then add, no FMA).
+/// The last `n % 8` windows, and every other shape, go through
+/// [`window_dot`].
+///
+/// Dispatch telemetry is the caller's job: one
+/// [`count_sliding_dispatch`] per batch of rows.
 pub fn sliding_dots(
     series: &Tensor,
     shapelet: &[f32],
@@ -200,16 +221,120 @@ pub fn sliding_dots(
     let (d, t) = (series.rows(), series.cols());
     assert_eq!(shapelet.len(), d * len, "shapelet width mismatch");
     let n = count_windows(t, len, stride);
-    crate::matmul::count_dot_dispatch(len, (d * n) as u64);
-    let base = out.len();
-    out.resize(base + n, 0.0);
-    let dst = &mut out[base..];
-    for v in 0..d {
-        let row = series.row(v);
-        let taps = &shapelet[v * len..(v + 1) * len];
-        for (w, o) in dst.iter_mut().enumerate() {
-            let start = w * stride;
-            *o += crate::matmul::dot(&row[start..start + len], taps);
+    let done = win8_windows(len, stride, n);
+    #[cfg(target_arch = "x86_64")]
+    if done > 0 {
+        let base = out.len();
+        out.resize(base + done, 0.0);
+        // SAFETY: `win8_windows` is nonzero only for stride 1 and once
+        // AVX2 was detected at runtime; `done` is a multiple of 8 and at
+        // most n = t − len + 1, so the kernel's last load ends at sample
+        // n − 1 + len − 1 = t − 1.
+        unsafe { x86::sliding_dots_win8(series, shapelet, len, &mut out[base..]) };
+    }
+    out.extend((done..n).map(|w| window_dot(series, shapelet, w * stride, len)));
+}
+
+/// How many of a row's `n` windows [`sliding_dots`] computes in AVX2
+/// blocks of eight: `n − n % 8` for [`across_windows`] shapes on a CPU
+/// with AVX2, else 0. The one dispatch decision the kernel and its
+/// counter share.
+fn win8_windows(len: usize, stride: usize, n: usize) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if across_windows(len, stride) && x86::avx2_available() {
+        return n - n % 8;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (len, stride, n);
+    0
+}
+
+/// Records `rows` [`sliding_dots`] calls over the `n` windows of a
+/// `d`-variable series against the `dot.dispatch.*` counters: the
+/// across-window blocks under `dot.dispatch.avx2_win8`, every other
+/// window's per-variable dots through [`crate::matmul::count_dot_dispatch`].
+/// Hoisted out of the kernel so a pool call pays one gate check for all
+/// its rows.
+pub fn count_sliding_dispatch(d: usize, len: usize, stride: usize, n: usize, rows: usize) {
+    let blocked = win8_windows(len, stride, n);
+    if blocked > 0 {
+        tcsl_obs::counters::DOT_DISPATCH_AVX2_WIN8.add((rows * d * blocked) as u64);
+    }
+    crate::matmul::count_dot_dispatch(len, (rows * d * (n - blocked)) as u64);
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use crate::tensor::Tensor;
+    use std::arch::x86_64::*;
+
+    /// Cached runtime check for the across-window kernel.
+    #[inline]
+    pub fn avx2_available() -> bool {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+
+    /// [`super::window_dot`] for windows `0..out.len()` of a stride-1 row
+    /// shape, eight windows per pass: vector lane `j` of every register
+    /// holds window `w + j`'s copy of the scalar accumulator, so each
+    /// window sees exactly [`crate::matmul::dot_scalar`]'s operation
+    /// sequence per variable — eight lane accumulators `acc[i % 8]` fed
+    /// by a separate mul and add, folded in order from `-0.0` (the
+    /// identity `Sum for f32` starts from), plus a serial tail — and
+    /// `window_dot`'s `+0.0`-seeded sum over variables.
+    ///
+    /// # Safety
+    ///
+    /// Requires the `avx2` target feature at runtime; `out.len()` must be
+    /// a multiple of 8, `shapelet.len() == D·len`, and
+    /// `out.len() + len − 1 <= series.cols()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sliding_dots_win8(
+        series: &Tensor,
+        shapelet: &[f32],
+        len: usize,
+        out: &mut [f32],
+    ) {
+        debug_assert_eq!(out.len() % 8, 0);
+        debug_assert!(out.len() + len <= series.cols() + 1);
+        let chunks = len / 8;
+        for w in (0..out.len()).step_by(8) {
+            // SAFETY: by the caller's contract every load below reads
+            // samples w + i .. w + i + 8 ≤ out.len() + len − 1 ≤ cols of
+            // one series row, every tap index is < len within variable
+            // v's D·len slice, and the store writes out[w..w + 8].
+            unsafe {
+                let mut cross = _mm256_setzero_ps();
+                for v in 0..series.rows() {
+                    let row = series.row(v).as_ptr().add(w);
+                    let taps = shapelet.as_ptr().add(v * len);
+                    let mut acc = [_mm256_setzero_ps(); 8];
+                    for c in 0..chunks {
+                        for (l, a) in acc.iter_mut().enumerate() {
+                            let i = c * 8 + l;
+                            let prod = _mm256_mul_ps(
+                                _mm256_set1_ps(*taps.add(i)),
+                                _mm256_loadu_ps(row.add(i)),
+                            );
+                            *a = _mm256_add_ps(*a, prod);
+                        }
+                    }
+                    let mut sum = _mm256_set1_ps(-0.0);
+                    for a in acc {
+                        sum = _mm256_add_ps(sum, a);
+                    }
+                    let mut tail = _mm256_setzero_ps();
+                    for i in chunks * 8..len {
+                        let prod = _mm256_mul_ps(
+                            _mm256_set1_ps(*taps.add(i)),
+                            _mm256_loadu_ps(row.add(i)),
+                        );
+                        tail = _mm256_add_ps(tail, prod);
+                    }
+                    cross = _mm256_add_ps(cross, _mm256_add_ps(sum, tail));
+                }
+                _mm256_storeu_ps(out.as_mut_ptr().add(w), cross);
+            }
         }
     }
 }
@@ -377,7 +502,12 @@ mod tests {
     fn window_dot4_matches_single_window_dots() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        for &(d, t, len, stride) in &[(1usize, 30usize, 5usize, 1usize), (3, 90, 70, 2)] {
+        for &(d, t, len, stride) in &[
+            (1usize, 30usize, 5usize, 1usize),
+            (2, 40, 13, 1),
+            (3, 90, 63, 2),
+            (3, 90, 70, 2),
+        ] {
             let s = Tensor::randn([d, t], &mut rng);
             let bank = Tensor::randn([4, d * len], &mut rng);
             let taps = [bank.row(0), bank.row(1), bank.row(2), bank.row(3)];
@@ -385,14 +515,85 @@ mod tests {
                 let got = window_dot4(&s, taps, w * stride, len);
                 for (j, &tap_row) in taps.iter().enumerate() {
                     let want = window_dot(&s, tap_row, w * stride, len);
-                    assert!(
-                        (got[j] - want).abs() < 1e-4 * (1.0 + want.abs()),
-                        "w={w} j={j}: {} vs {want}",
-                        got[j]
-                    );
+                    if len < crate::matmul::FMA_MIN_LEN {
+                        // Below the FMA threshold dot4 is four scalar dots.
+                        assert_eq!(got[j].to_bits(), want.to_bits(), "w={w} j={j}");
+                    } else {
+                        assert!(
+                            (got[j] - want).abs() < 1e-4 * (1.0 + want.abs()),
+                            "w={w} j={j}: {} vs {want}",
+                            got[j]
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// A series mixing random values with signed zeros, a zero run long
+    /// enough for whole all-zero windows, and ±1e18 magnitudes (products
+    /// near 1e36 stay finite, so no NaN payloads enter the comparison).
+    fn hostile_values(n: usize, rng: &mut rand::rngs::StdRng) -> Vec<f32> {
+        use rand::Rng;
+        let zero_run = n / 3..n / 3 + n / 3;
+        (0..n)
+            .map(|i| match (i, rng.gen_range(0..8)) {
+                (i, _) if zero_run.contains(&i) => {
+                    if i.is_multiple_of(2) {
+                        0.0
+                    } else {
+                        -0.0
+                    }
+                }
+                (_, 0) => 0.0,
+                (_, 1) => -0.0,
+                (_, 2) => 1e18,
+                (_, 3) => -1e18,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn f32_sum_folds_from_negative_zero() {
+        // The across-window kernel seeds its lane fold with -0.0 to match
+        // `dot_scalar`'s `acc.iter().sum()`.
+        assert!([-0.0f32].iter().sum::<f32>().is_sign_negative());
+    }
+
+    #[test]
+    fn sliding_dots_bit_identical_to_window_dot() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        for len in 1..crate::matmul::FMA_MIN_LEN {
+            for d in 1..=3usize {
+                for n in [1usize, 5, 8, 13, 19, 43] {
+                    let t = n + len - 1;
+                    let s = Tensor::from_vec(hostile_values(d * t, &mut rng), [d, t]);
+                    let taps = hostile_values(d * len, &mut rng);
+                    let mut got = vec![7.0];
+                    sliding_dots(&s, &taps, len, 1, &mut got);
+                    assert_eq!(got.len(), n + 1, "len={len} d={d}: appends one per window");
+                    assert_eq!(got[0], 7.0);
+                    for (w, g) in got[1..].iter().enumerate() {
+                        let want = window_dot(&s, &taps, w, len);
+                        assert_eq!(
+                            g.to_bits(),
+                            want.to_bits(),
+                            "len={len} d={d} n={n} w={w}: {g} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn across_windows_only_for_short_stride_one_rows() {
+        assert!(across_windows(1, 1));
+        assert!(across_windows(crate::matmul::FMA_MIN_LEN - 1, 1));
+        assert!(!across_windows(crate::matmul::FMA_MIN_LEN, 1));
+        assert!(!across_windows(8, 2));
     }
 
     #[test]

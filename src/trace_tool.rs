@@ -603,6 +603,7 @@ pub fn diff_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcsl_error::TempDir;
 
     /// A v2 summary exercising every section, written through the real
     /// writer path (obs is a test dependency of the facade via the
@@ -620,8 +621,7 @@ mod tests {
                  "pretrain/epoch/batch":{"count":16,"total_ns":3200,"min_ns":100,"max_ns":400}}}"#;
 
     fn fixture() -> TraceSummary {
-        let dir = std::env::temp_dir().join("tcsl_trace_tool_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("trace_tool_fixture").unwrap();
         let path = dir.join("fixture_summary.json");
         std::fs::write(&path, FIXTURE).unwrap();
         load_summary(path.to_str().unwrap()).unwrap()
@@ -750,8 +750,7 @@ mod tests {
     #[test]
     fn load_errors_carry_pr8_classes() {
         use tcsl_error::ErrorClass;
-        let dir = std::env::temp_dir().join("tcsl_trace_tool_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("trace_tool_load_errors").unwrap();
         let missing = dir.join("nope.json");
         let e = load_summary(missing.to_str().unwrap()).unwrap_err();
         assert_eq!(e.class(), ErrorClass::Io);
@@ -775,8 +774,7 @@ mod tests {
 
     #[test]
     fn v1_summaries_load_with_empty_histograms() {
-        let dir = std::env::temp_dir().join("tcsl_trace_tool_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("trace_tool_v1").unwrap();
         let p = dir.join("v1.json");
         std::fs::write(
             &p,

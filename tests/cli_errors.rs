@@ -7,6 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use timecsl::data::io;
+use timecsl::error::TempDir;
 use timecsl::prelude::*;
 use timecsl::shapelet::{Measure, ShapeletBank, ShapeletConfig};
 
@@ -46,9 +47,8 @@ fn assert_fails_with(args: &[&str], code: i32, needle: &str) {
 
 /// A scratch dir with a small valid model and dataset the error cases can
 /// build on.
-fn fixtures(tag: &str) -> (PathBuf, PathBuf, PathBuf) {
-    let dir = std::env::temp_dir().join(format!("tcsl_cli_errors_{tag}"));
-    std::fs::create_dir_all(&dir).unwrap();
+fn fixtures(tag: &str) -> (TempDir, PathBuf, PathBuf) {
+    let dir = TempDir::new(&format!("cli_errors_{tag}")).unwrap();
     let cfg = ShapeletConfig {
         lengths: vec![4, 8],
         k_per_group: 2,
@@ -236,8 +236,6 @@ fn failed_runs_still_write_a_complete_trace() {
     let (dir, model, data) = fixtures("trace");
     let jsonl = dir.join("trace.jsonl");
     let summary = dir.join("trace.json");
-    std::fs::remove_file(&jsonl).ok();
-    std::fs::remove_file(&summary).ok();
     let out = Command::new(bin())
         .args(["cluster", &p(&model), &p(&data), "0"])
         .env("TCSL_TRACE", "1")
@@ -287,12 +285,10 @@ fn successful_runs_exit_zero() {
 
 /// A real v2 run summary to feed `timecsl trace`: one traced transform
 /// run, summarized next to its JSONL stream.
-fn real_summary(tag: &str) -> (PathBuf, PathBuf) {
+fn real_summary(tag: &str) -> (TempDir, PathBuf) {
     let (dir, model, data) = fixtures(tag);
     let jsonl = dir.join("trace.jsonl");
     let summary = dir.join("trace.json");
-    std::fs::remove_file(&jsonl).ok();
-    std::fs::remove_file(&summary).ok();
     let out = Command::new(bin())
         .args(["transform", &p(&model), &p(&data), &p(&dir.join("z.csv"))])
         .env("TCSL_TRACE", "1")

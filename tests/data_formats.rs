@@ -3,19 +3,14 @@
 //! features → CSV.
 
 use timecsl::data::{archive, io};
+use timecsl::error::TempDir;
 use timecsl::prelude::*;
-
-fn tmpdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("timecsl_data_formats");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 #[test]
 fn csv_round_trip_preserves_pipeline_behaviour() {
     let entry = archive::by_name("MotifEasy").unwrap();
     let (train, test) = archive::generate_split(&entry, 800);
-    let dir = tmpdir();
+    let dir = TempDir::new("csv_round_trip").unwrap();
     let train_path = dir.join("train.csv");
     io::save_csv(&train, &train_path).unwrap();
     let reloaded = io::load_csv("train", &train_path).unwrap();

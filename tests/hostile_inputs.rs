@@ -6,6 +6,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use timecsl::data::io;
+use timecsl::error::TempDir;
 use timecsl::prelude::*;
 use timecsl::shapelet::{Measure, ShapeletBank, ShapeletConfig};
 use timecsl::tensor::Tensor;
@@ -125,8 +126,7 @@ fn hostile_csv_inputs_are_typed_errors() {
 
 #[test]
 fn hostile_ts_files_are_typed_errors() {
-    let dir = std::env::temp_dir().join("tcsl_hostile_inputs");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("hostile_ts").unwrap();
     for (what, text) in [
         ("garbage ts", "not a ts file at all"),
         ("header only ts", "@problemName x\n@data\n"),
@@ -291,9 +291,7 @@ fn summary_fixture() -> String {
     timecsl::obs::trace::summary_json("hostile-fixture")
 }
 
-fn scratch(name: &str, body: &str) -> String {
-    let dir = std::env::temp_dir().join("tcsl_hostile_trace");
-    std::fs::create_dir_all(&dir).unwrap();
+fn scratch(dir: &TempDir, name: &str, body: &str) -> String {
     let path = dir.join(name);
     std::fs::write(&path, body).unwrap();
     path.to_string_lossy().into_owned()
@@ -302,6 +300,7 @@ fn scratch(name: &str, body: &str) -> String {
 #[test]
 fn every_truncated_trace_summary_is_a_typed_error() {
     let body = summary_fixture();
+    let dir = TempDir::new("hostile_truncated_summary").unwrap();
     // Every strict prefix is either Parse (cut mid-JSON) or ModelFormat
     // (cut so early the schema header is gone) — never a panic, and
     // never accepted. Step through byte positions; skip the full length.
@@ -309,7 +308,7 @@ fn every_truncated_trace_summary_is_a_typed_error() {
         if !body.is_char_boundary(n) {
             continue;
         }
-        let path = scratch("truncated.json", &body[..n]);
+        let path = scratch(&dir, "truncated.json", &body[..n]);
         let err = must_err(&format!("summary prefix of {n} bytes"), || {
             timecsl::trace_tool::load_summary(&path)
         });
@@ -324,6 +323,7 @@ fn every_truncated_trace_summary_is_a_typed_error() {
 #[test]
 fn byte_corrupted_trace_summaries_never_panic() {
     let body = summary_fixture();
+    let dir = TempDir::new("hostile_corrupted_summary").unwrap();
     // A '#' is never valid JSON syntax outside a string, and inside one
     // it merely changes a name — either way the loader must return,
     // not panic. Some mutations (inside the run name) still load.
@@ -335,7 +335,7 @@ fn byte_corrupted_trace_summaries_never_panic() {
         bad.push_str(&body[..pos]);
         bad.push('#');
         bad.push_str(&body[pos + body[pos..].chars().next().map_or(1, char::len_utf8)..]);
-        let path = scratch("flipped.json", &bad);
+        let path = scratch(&dir, "flipped.json", &bad);
         must_not_panic(&format!("summary with '#' at byte {pos}"), || {
             timecsl::trace_tool::load_summary(&path)
         });
@@ -344,9 +344,10 @@ fn byte_corrupted_trace_summaries_never_panic() {
 
 #[test]
 fn deep_nesting_and_non_json_summaries_are_rejected() {
+    let dir = TempDir::new("hostile_nesting_summary").unwrap();
     // A recursion bomb must hit the parser's depth cap, not the stack.
     let bomb = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
-    let path = scratch("bomb.json", &bomb);
+    let path = scratch(&dir, "bomb.json", &bomb);
     let err = must_err("20k-deep nesting bomb", || {
         timecsl::trace_tool::load_summary(&path)
     });
@@ -359,7 +360,7 @@ fn deep_nesting_and_non_json_summaries_are_rejected() {
         ("half_utf8.json", "{\"schema\": \"tcsl"),
         ("numbers.json", "1e999"),
     ] {
-        let path = scratch(name, junk);
+        let path = scratch(&dir, name, junk);
         let err = must_err(name, || timecsl::trace_tool::load_summary(&path));
         assert!(
             matches!(err.class(), ErrorClass::Parse | ErrorClass::ModelFormat),

@@ -5,6 +5,7 @@
 //! *pinned* typed error class, never a panic; and the untouched file must
 //! round-trip bit-identically.
 
+use timecsl::error::TempDir;
 use timecsl::shapelet::{Measure, ShapeletBank, ShapeletConfig};
 use timecsl::{ErrorClass, TimeCsl};
 
@@ -148,21 +149,18 @@ fn corrupted_group_header_fields_are_typed_errors() {
 #[test]
 fn save_load_through_disk_preserves_the_bytes() {
     let m = model();
-    let dir = std::env::temp_dir().join("tcsl_model_corruption");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("model_corruption_disk").unwrap();
     let path = dir.join("model.tcsl");
     m.save(&path).unwrap();
     let on_disk = std::fs::read_to_string(&path).unwrap();
     assert_eq!(on_disk, m.to_text());
     let loaded = TimeCsl::load(&path).unwrap();
     assert_eq!(loaded.to_text(), m.to_text());
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
 fn loading_a_corrupted_file_names_the_path() {
-    let dir = std::env::temp_dir().join("tcsl_model_corruption");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("model_corruption_bad").unwrap();
     let path = dir.join("bad.tcsl");
     std::fs::write(&path, "tcsl-model v2 normalization=sigma\n").unwrap();
     let err = TimeCsl::load(&path).unwrap_err();
@@ -171,5 +169,4 @@ fn loading_a_corrupted_file_names_the_path() {
         err.to_string().contains("bad.tcsl"),
         "load error lost the path context: {err}"
     );
-    std::fs::remove_file(path).ok();
 }

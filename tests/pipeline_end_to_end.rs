@@ -112,8 +112,7 @@ fn model_save_load_preserves_features_through_facade() {
     let entry = archive::by_name("MotifEasy").unwrap();
     let (train, test) = archive::generate_split(&entry, 104);
     let (model, _) = TimeCsl::pretrain(&train, None, &quick_cfg(4));
-    let dir = std::env::temp_dir().join("timecsl_integration");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = timecsl::error::TempDir::new("facade_save_load").unwrap();
     let path = dir.join("model.tcsl");
     model.save(&path).unwrap();
     let loaded = TimeCsl::load(&path).unwrap();
@@ -124,5 +123,4 @@ fn model_save_load_preserves_features_through_facade() {
             .max_abs_diff(&loaded.transform(&test).unwrap())
             < 1e-5
     );
-    std::fs::remove_file(path).ok();
 }
