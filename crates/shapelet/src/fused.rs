@@ -27,13 +27,14 @@
 //!   tiles (a bounded scratch buffer, reused across tiles) and scored
 //!   matmul-style ([`TILE_WINDOWS`]).
 //!
-//! Peak per-series allocation is O(D·T + N_w + K) — no term proportional
-//! to `N_w × D·len`. All engines funnel scoring through
-//! [`Measure::finish`], and agree with the unfold oracle to f32 round-off
-//! (property-tested in `crate::proptests`). The f32 fused engine
-//! ([`pool_rows`]) and its localization sibling ([`row_scores`]) also
-//! serve the quantized bank's sub-`QUANT_MIN_LEN` rows, so there is one
-//! short-row path.
+//! Peak per-series allocation is O(S·(D·T + N_w) + K) for S scales — the
+//! transform builds every scale's [`ScaleWindows`] before its groups fan
+//! out — and has no term proportional to `N_w × D·len`. All engines
+//! funnel scoring through [`Measure::finish`], and agree with the unfold
+//! oracle to f32 round-off (property-tested in `crate::proptests`). The
+//! f32 fused engine ([`pool_rows`]) and its localization sibling
+//! ([`row_scores`]) also serve the quantized bank's sub-`QUANT_MIN_LEN`
+//! rows, so there is one short-row path.
 
 use crate::bank::{GroupPrecomp, ShapeletGroup};
 use crate::measure::Measure;

@@ -2,8 +2,10 @@
 //!
 //! This is the inference path used by the freezing mode, the exploration
 //! component and the experiment harnesses. It shares its numerics with
-//! [`crate::diff_transform`] (tested for agreement), runs groups serially
-//! and series in parallel.
+//! [`crate::diff_transform`] (tested for agreement). A dataset runs its
+//! series in parallel on the pool; a lone series (a 1-series request,
+//! `transform_one`) runs its shapelet groups in parallel instead, since a
+//! call nested in the per-series fan-out runs serially.
 //!
 //! [`transform_series`] runs the fused streaming kernel of [`crate::fused`]:
 //! no window matrix is materialized, window norms come from one prefix-sum
@@ -88,41 +90,40 @@ pub fn transform_series_unchecked(bank: &ShapeletBank, series: &TimeSeries) -> V
     // Host-class latency distribution; a disabled timer never reads the
     // clock.
     let _t = tcsl_obs::hist::TRANSFORM_SERIES_NS.start_timer();
-    let mut features = Vec::with_capacity(bank.repr_dim());
+    let groups = bank.groups();
     // The per-scale window state (padded buffer + prefix-sum norms) is
-    // shared between the measures of one scale.
-    let mut cached: Option<ScaleWindows> = None;
+    // built once per run of same-scale groups, up front, and shared
+    // read-only by the measures of that scale.
+    let mut scales: Vec<ScaleWindows> = Vec::new();
+    let mut scale_of = Vec::with_capacity(groups.len());
+    for g in groups {
+        if !scales.last().is_some_and(|sw| sw.matches(g.len, g.stride)) {
+            scales.push(ScaleWindows::new(series.values(), g.len, g.stride));
+        }
+        scale_of.push(scales.len() - 1);
+    }
     // A quantized bank pools through the half-width tap storage; the f32
     // repack is never built.
-    if let Some(qps) = bank.quantized() {
-        for (gi, g) in bank.groups().iter().enumerate() {
-            if !cached
-                .as_ref()
-                .is_some_and(|sw| sw.matches(g.len, g.stride))
-            {
-                cached = Some(ScaleWindows::new(series.values(), g.len, g.stride));
-            }
-            #[allow(clippy::disallowed_methods)] // populated on the previous line
-            let sw = cached.as_ref().expect("just populated");
-            let (pooled, _args) = pool_measure_quant(sw, g.measure, &qps[gi]);
-            features.extend_from_slice(&pooled);
-        }
-        return features;
-    }
-    let pre = bank.precomputed();
-    for (gi, g) in bank.groups().iter().enumerate() {
-        if !cached
-            .as_ref()
-            .is_some_and(|sw| sw.matches(g.len, g.stride))
-        {
-            cached = Some(ScaleWindows::new(series.values(), g.len, g.stride));
-        }
-        #[allow(clippy::disallowed_methods)] // populated on the previous line
-        let sw = cached.as_ref().expect("just populated");
-        let (pooled, _args) = pool_group(sw, g, &pre[gi]);
-        features.extend_from_slice(&pooled);
-    }
-    features
+    let quant = bank.quantized();
+    let pre = if quant.is_some() {
+        &[]
+    } else {
+        bank.precomputed()
+    };
+    // Groups fan out on the pool. Inside a per-series fan-out
+    // (`transform_dataset`) this runs serially on the calling worker; a
+    // lone series spreads its groups across the cores. Group `gi`'s values
+    // come from the same function on the same inputs either way, so the
+    // features are bit-identical for any thread count.
+    parallel_map(groups.len(), |gi| {
+        let (g, sw) = (&groups[gi], &scales[scale_of[gi]]);
+        let (pooled, _args) = match quant {
+            Some(qps) => pool_measure_quant(sw, g.measure, &qps[gi]),
+            None => pool_group(sw, g, &pre[gi]),
+        };
+        pooled
+    })
+    .concat()
 }
 
 /// [`transform_series`] via the unfold-based reference path: materializes
@@ -188,7 +189,105 @@ mod tests {
     use super::*;
     use crate::config::ShapeletConfig;
     use crate::measure::Measure;
+    use tcsl_tensor::quant::{QuantScheme, QUANT_MIN_LEN};
     use tcsl_tensor::rng::seeded;
+
+    /// The per-group loop the transform ran before its groups fanned out:
+    /// one lazily rebuilt window state, groups in order on the calling
+    /// thread. The bit-identity oracle for the fan-out.
+    fn transform_series_serial(bank: &ShapeletBank, series: &TimeSeries) -> Vec<f32> {
+        let mut features = Vec::with_capacity(bank.repr_dim());
+        let mut cached: Option<ScaleWindows> = None;
+        for (gi, g) in bank.groups().iter().enumerate() {
+            if !cached
+                .as_ref()
+                .is_some_and(|sw| sw.matches(g.len, g.stride))
+            {
+                cached = Some(ScaleWindows::new(series.values(), g.len, g.stride));
+            }
+            let sw = cached.as_ref().unwrap();
+            let (pooled, _args) = match bank.quantized() {
+                Some(qps) => pool_measure_quant(sw, g.measure, &qps[gi]),
+                None => pool_group(sw, g, &bank.precomputed()[gi]),
+            };
+            features.extend_from_slice(&pooled);
+        }
+        features
+    }
+
+    /// Three scales: 3 and 20 stay below `QUANT_MIN_LEN` for every tested
+    /// `D` (they pool through the f32 engine even on a quantized bank),
+    /// 70 runs the half-width kernels. `K = 5` covers a block of four plus
+    /// a remainder.
+    fn fanout_bank(d: usize, scheme: Option<QuantScheme>) -> ShapeletBank {
+        let cfg = ShapeletConfig {
+            lengths: vec![3, 20, 70],
+            k_per_group: 5,
+            measures: Measure::ALL.to_vec(),
+            stride: 1,
+        };
+        let mut bank = ShapeletBank::new(&cfg, d);
+        bank.randomize(&mut seeded(40 + d as u64));
+        if let Some(scheme) = scheme {
+            bank.quantize(scheme).unwrap();
+        }
+        assert!(20 * d < QUANT_MIN_LEN && 70 * d >= QUANT_MIN_LEN);
+        bank
+    }
+
+    fn random_series(d: usize, t: usize, seed: u64) -> TimeSeries {
+        let vals = Tensor::randn([d, t], &mut seeded(seed));
+        TimeSeries::multivariate((0..d).map(|v| vals.row(v).to_vec()).collect::<Vec<_>>())
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    const SCHEMES: [Option<QuantScheme>; 3] =
+        [None, Some(QuantScheme::F16), Some(QuantScheme::I16)];
+
+    #[test]
+    fn group_fanout_transform_is_bit_identical_to_serial_loop() {
+        for scheme in SCHEMES {
+            for d in 1..=3 {
+                let bank = fanout_bank(d, scheme);
+                // Shorter than the shortest scale (every scale pads), in
+                // between, and a long serving-size series.
+                for t in [2usize, 45, 1024] {
+                    let s = random_series(d, t, (d * 10_000 + t) as u64);
+                    let got = transform_series(&bank, &s).unwrap();
+                    assert_eq!(got.len(), bank.repr_dim());
+                    assert_eq!(
+                        bits(&got),
+                        bits(&transform_series_serial(&bank, &s)),
+                        "scheme={scheme:?} D={d} T={t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dataset_transform_rows_match_between_lone_and_batched_series() {
+        // N = 1 fans out the groups of its one series; N = 8 fans out the
+        // series and runs each one's groups serially.
+        for scheme in SCHEMES {
+            let bank = fanout_bank(1, scheme);
+            let series: Vec<TimeSeries> = (0..8)
+                .map(|i| random_series(1, 40 + 131 * i, 500 + i as u64))
+                .collect();
+            let batch = transform_dataset(&bank, &Dataset::unlabeled("x", series.clone())).unwrap();
+            for (i, s) in series.into_iter().enumerate() {
+                let lone = transform_dataset(&bank, &Dataset::unlabeled("x", vec![s])).unwrap();
+                assert_eq!(
+                    bits(lone.row(0)),
+                    bits(batch.row(i)),
+                    "scheme={scheme:?} row {i}"
+                );
+            }
+        }
+    }
 
     fn small_bank(d: usize) -> ShapeletBank {
         let cfg = ShapeletConfig {

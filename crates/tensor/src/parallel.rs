@@ -14,18 +14,36 @@
 //! result `i` into slot `i`, `parallel_chunks_mut` hands chunk `c` exactly
 //! the range `buf[c·chunk_len ..]` — so results are bit-identical for any
 //! `TCSL_THREADS` setting and either pool mode.
+//!
+//! Dispatch cost. The hardware thread count is resolved once per process
+//! ([`default_threads`]): `std::thread::available_parallelism` reads the
+//! cgroup files on every call, which measured 15–23 µs per call on a
+//! 2-vCPU cgroup host — more than a whole IVF query. The serial exits
+//! (one item, or a call nested inside a pool task) are taken before any
+//! thread count or environment variable is read, so a nested or
+//! single-item call costs nothing beyond the closure itself. Only a call
+//! that can actually fan out re-reads `TCSL_THREADS` (~0.1 µs).
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::pool;
 
 /// Number of worker threads to use: `available_parallelism` capped at the
 /// item count (and at least 1).
+///
+/// The hardware count is resolved at first use and fixed for the process
+/// (the std call re-reads cgroup limits each time, tens of µs on a cgroup
+/// host). The pool never shrinks either, so a count fixed at first use
+/// matches its semantics.
 pub fn default_threads(items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    });
     hw.min(items).max(1)
 }
 
@@ -39,7 +57,8 @@ pub fn default_threads(items: usize) -> usize {
 /// [`default_threads`]. The variable is re-read on every call — it caps how
 /// many parked pool workers a dispatch wakes, so tests and benchmarks can
 /// flip between serial and parallel execution in-process without touching
-/// the pool itself.
+/// the pool itself. [`parallel_map`] and [`parallel_chunks_mut`] only call
+/// this once their serial exits are ruled out.
 pub fn configured_threads(items: usize) -> usize {
     threads_from_override(std::env::var("TCSL_THREADS").ok().as_deref(), items)
 }
@@ -76,12 +95,28 @@ fn scoped_from_override(raw: Option<&str>) -> bool {
 ///
 /// A panicking `f` re-raises on the calling thread after the dispatch has
 /// drained — and the pool stays usable for the next call.
+///
+/// A single item, or a call nested inside a pool task, runs inline before
+/// anything resolves a thread count, so such calls are free to make (the
+/// shapelet transform fans out its groups this way whether or not it
+/// already runs inside a per-series fan-out).
 pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map_with(configured_threads(n.max(1)), n, f)
+    parallel_map_with(dispatch_threads(n), n, f)
+}
+
+/// Worker count for a call over `items` items. The serial exits (one
+/// item, or a call nested in a pool task) are taken before
+/// [`configured_threads`] reads `TCSL_THREADS` or the hardware count.
+fn dispatch_threads(items: usize) -> usize {
+    if items <= 1 || pool::in_parallel_region() {
+        1
+    } else {
+        configured_threads(items)
+    }
 }
 
 /// [`parallel_map`] with an explicit worker count instead of the
@@ -163,7 +198,7 @@ where
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
     let n_chunks = buf.len().div_ceil(chunk_len);
-    parallel_chunks_mut_with(configured_threads(n_chunks.max(1)), buf, chunk_len, f)
+    parallel_chunks_mut_with(dispatch_threads(n_chunks), buf, chunk_len, f)
 }
 
 /// [`parallel_chunks_mut`] with an explicit worker count instead of the

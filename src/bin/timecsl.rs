@@ -282,9 +282,11 @@ fn cmd_report(args: &[String]) -> CliResult {
 }
 
 /// A self-contained synthetic run: generate → save CSVs → pretrain →
-/// classify, exercising every CLI path.
+/// classify, exercising every CLI path. Artifacts go to a per-process
+/// directory (so concurrent demos never share files) and stay after exit
+/// for the user to drive; its path is printed last.
 fn cmd_demo(_args: &[String]) -> CliResult {
-    let dir = std::env::temp_dir().join("timecsl_cli_demo");
+    let dir = std::env::temp_dir().join(format!("timecsl_cli_demo-{}", std::process::id()));
     std::fs::create_dir_all(&dir)
         .map_err(|e| TcslError::io(dir.to_string_lossy().into_owned(), e))?;
     // `require` lists every available dataset on a typo — same error a
