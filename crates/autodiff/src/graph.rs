@@ -36,10 +36,9 @@ pub struct VarId(pub(crate) usize);
 ///
 /// Implementations must be `Send + Sync`: graphs cross thread boundaries in
 /// data-parallel training, and one op instance may be shared (via `Arc`)
-/// between the clones a worker makes. State stashed by `forward` for
-/// `backward` (e.g. argmin indices) therefore needs interior mutability
-/// with a fallback to recomputation — see `ShapeletDistanceOp` in
-/// `tcsl-shapelet` for the canonical pattern.
+/// between nodes and graphs. State `backward` needs (e.g. argmin indices)
+/// is best computed when the op is built and carried by it, immutable —
+/// see `ShapeletDistanceOp` in `tcsl-shapelet`.
 pub trait CustomOp: Send + Sync + std::fmt::Debug {
     /// Computes the output value from the input values.
     fn forward(&self, inputs: &[&Tensor]) -> Tensor;

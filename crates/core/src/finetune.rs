@@ -17,7 +17,7 @@
 use std::time::{Duration, Instant};
 use tcsl_autodiff::{Adam, Graph, Optimizer, ParamStore, VarId};
 use tcsl_data::Dataset;
-use tcsl_shapelet::diff_transform::{diff_features_batch, write_back, BoundBank};
+use tcsl_shapelet::diff_transform::{bind_frozen, diff_features_batch, write_back, BoundBank};
 use tcsl_shapelet::ShapeletBank;
 use tcsl_tensor::matmul::matmul_transb;
 use tcsl_tensor::parallel::parallel_map;
@@ -150,13 +150,7 @@ pub fn fine_tune(
                 let mut g = Graph::new();
                 let bound_all = ps.bind(&mut g);
                 let bound = if cfg.freeze_shapelets {
-                    BoundBank {
-                        group_vars: bank
-                            .groups()
-                            .iter()
-                            .map(|grp| g.leaf(grp.shapelets.clone()))
-                            .collect(),
-                    }
+                    bind_frozen(&mut g, bank)
                 } else {
                     BoundBank {
                         group_vars: bound_all[..n_groups].to_vec(),

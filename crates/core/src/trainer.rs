@@ -8,18 +8,27 @@
 //!
 //! # Data-parallel execution
 //!
-//! The per-grain view pairs of one batch are independent given the current
-//! parameter values, so each pair's forward/backward runs as its own
-//! subgraph on a persistent-pool worker
+//! Each batch runs in two phases on the persistent pool
 //! ([`tcsl_tensor::parallel::parallel_map`] — parked workers woken per
-//! batch rather than OS threads spawned per batch; thread count
-//! overridable via `TCSL_THREADS`, re-read each dispatch): every worker
-//! builds a private [`Graph`], binds the same read-only parameter
-//! snapshot, and returns its pair's losses and gradients. The main thread then reduces
-//! the gradients **in fixed pair order** and takes one optimizer step.
-//! View sampling stays on the main-thread RNG and reduction order never
-//! depends on the schedule, so training is bit-for-bit identical at any
-//! thread count (`training_is_thread_count_invariant`).
+//! dispatch rather than OS threads spawned per batch; thread count
+//! overridable via `TCSL_THREADS`, re-read each dispatch):
+//!
+//! 1. **Pooled forward, batch-wide.** [`pool_scopes`] pools every distinct
+//!    view of the batch once against the current parameter snapshot, one
+//!    pool task per view. The two views of a pair at grain 1.0 are the
+//!    same crop, so they are pooled once.
+//! 2. **Graph and backward, per pair.** The per-grain view pairs are
+//!    independent given the parameters, so each pair gets its own task:
+//!    a private [`Graph`] binding the same read-only snapshot, with the
+//!    pair's pooled features replayed into it, then the loss and its
+//!    backward. It returns the pair's losses and gradients.
+//!
+//! The main thread then reduces the gradients **in fixed pair order** and
+//! takes one optimizer step. View sampling stays on the main-thread RNG,
+//! every pooled value is a pure function of its view and the snapshot, and
+//! reduction order never depends on the schedule, so training is
+//! bit-for-bit identical at any thread count
+//! (`training_is_thread_count_invariant`).
 
 // Training/experiment path — panics on internal bugs are policy here
 // (DESIGN.md, "Error taxonomy & panic policy"), so the request-path error
@@ -30,9 +39,12 @@ use crate::config::CslConfig;
 use crate::loss::{multi_scale_alignment, nt_xent};
 use crate::views::{sample_views, ViewPair};
 use std::time::{Duration, Instant};
-use tcsl_autodiff::{Adam, Graph, Optimizer, ParamStore};
+use tcsl_autodiff::{Adam, Graph, Optimizer, ParamStore, VarId};
 use tcsl_data::Dataset;
-use tcsl_shapelet::diff_transform::{diff_features_batch_via, write_back, BoundBank, WindowCache};
+use tcsl_shapelet::diff_transform::oracle::diff_features_batch_oracle;
+use tcsl_shapelet::diff_transform::{
+    pool_scopes, replay_batch, write_back, BoundBank, DiffPath, PooledView,
+};
 use tcsl_shapelet::ShapeletBank;
 use tcsl_tensor::parallel::parallel_map;
 use tcsl_tensor::rng::{permutation, seeded};
@@ -100,9 +112,57 @@ fn epoch_batches(order: &[usize], batch_size: usize) -> Vec<Vec<usize>> {
     chunks
 }
 
-/// One worker unit of data-parallel pre-training: the full forward/backward
-/// of a single view pair against a shared read-only parameter snapshot.
-/// Builds its own tape, so any number of these run concurrently.
+/// Phase 1 of a batch on the fused path: every pair's views pooled against
+/// the current parameter values, deduped within each pair. `None` on the
+/// oracle path, whose pair graphs build their own features.
+fn pool_pairs(
+    ps: &ParamStore,
+    bank: &ShapeletBank,
+    cfg: &CslConfig,
+    pairs: &[ViewPair],
+) -> Option<Vec<Vec<PooledView>>> {
+    (cfg.diff_path == DiffPath::Fused).then(|| {
+        let values: Vec<&Tensor> = (0..ps.len()).map(|i| ps.get(i)).collect();
+        let scopes: Vec<Vec<&Tensor>> = pairs
+            .iter()
+            .map(|p| p.views_a.iter().chain(&p.views_b).collect())
+            .collect();
+        pool_scopes(bank, &values, &scopes)
+    })
+}
+
+/// A pair's graph: the parameter snapshot bound as parameters, and both
+/// sides' `(B, D_repr)` feature matrices — replayed from the pair's pooled
+/// views, or built by the oracle graph.
+fn pair_graph(
+    ps: &ParamStore,
+    bank: &ShapeletBank,
+    pair: &ViewPair,
+    pooled: Option<&[PooledView]>,
+) -> (Graph, BoundBank, VarId, VarId) {
+    let mut g = Graph::new();
+    let bound = BoundBank {
+        group_vars: ps.bind(&mut g),
+    };
+    let (za, zb) = match pooled {
+        Some(views) => {
+            let (a, b) = views.split_at(pair.views_a.len());
+            (
+                replay_batch(&mut g, &bound, a),
+                replay_batch(&mut g, &bound, b),
+            )
+        }
+        None => (
+            diff_features_batch_oracle(&mut g, bank, &bound, &pair.views_a),
+            diff_features_batch_oracle(&mut g, bank, &bound, &pair.views_b),
+        ),
+    };
+    (g, bound, za, zb)
+}
+
+/// One worker unit of phase 2: the loss and backward of a single view pair
+/// against a shared read-only parameter snapshot. Builds its own tape, so
+/// any number of these run concurrently.
 struct PairGrad {
     contrast: f32,
     align: f32,
@@ -114,33 +174,9 @@ fn pair_forward_backward(
     bank: &ShapeletBank,
     cfg: &CslConfig,
     pair: &ViewPair,
+    pooled: Option<&[PooledView]>,
 ) -> PairGrad {
-    let mut g = Graph::new();
-    let bound = BoundBank {
-        group_vars: ps.bind(&mut g),
-    };
-    // One window cache spans both views of the pair: full-grain views are
-    // bit-identical crops, so their padded buffers and prefix-sum norms
-    // are computed once and shared (the cache is worker-local — it cannot
-    // perturb the fixed-order reduction that keeps training
-    // thread-count-invariant).
-    let mut cache = WindowCache::new();
-    let za = diff_features_batch_via(
-        cfg.diff_path,
-        &mut g,
-        bank,
-        &bound,
-        &pair.views_a,
-        &mut cache,
-    );
-    let zb = diff_features_batch_via(
-        cfg.diff_path,
-        &mut g,
-        bank,
-        &bound,
-        &pair.views_b,
-        &mut cache,
-    );
+    let (mut g, bound, za, zb) = pair_graph(ps, bank, pair, pooled);
     let contrast = nt_xent(&mut g, za, zb, cfg.temperature);
     let (align_val, loss) = if cfg.alignment_weight > 0.0 {
         let align = multi_scale_alignment(&mut g, bank, za);
@@ -259,10 +295,11 @@ pub fn pretrain(bank: &mut ShapeletBank, ds: &Dataset, cfg: &CslConfig) -> Train
             tcsl_obs::hist::TRAINER_BATCH_PAIRS.record(pairs.len() as u64);
             epoch_pairs += pairs.len();
 
-            // Fan out: one independent subgraph per pair, on the shared
-            // persistent pool. `parallel_map` returns results in pair
-            // order whatever the schedule, and a worker panic re-raises
-            // here without killing the pool for the next batch.
+            // Fan out twice on the shared persistent pool: the batch's
+            // distinct views, then one independent subgraph per pair.
+            // `parallel_map` returns results in item order whatever the
+            // schedule, and a worker panic re-raises here without killing
+            // the pool for the next batch.
             //
             // A non-finite feature value trips the tape's finiteness check
             // deep inside a worker, where the panic names the op but not
@@ -270,8 +307,10 @@ pub fn pretrain(bank: &mut ShapeletBank, ds: &Dataset, cfg: &CslConfig) -> Train
             // epoch/batch context (and the structured event) before
             // re-raising; unrelated panics resume untouched.
             let forward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let pooled = pool_pairs(&ps, bank, cfg, &pairs);
                 parallel_map(pairs.len(), |p| {
-                    pair_forward_backward(&ps, bank, cfg, &pairs[p])
+                    let scope = pooled.as_ref().map(|v| &v[p][..]);
+                    pair_forward_backward(&ps, bank, cfg, &pairs[p], scope)
                 })
             }));
             let results = match forward {
@@ -373,28 +412,10 @@ pub fn pretrain(bank: &mut ShapeletBank, ds: &Dataset, cfg: &CslConfig) -> Train
             let mut vrng = seeded(cfg.seed ^ 0xA11DA7); // fixed validation stream
             let pairs = sample_views(ds, &val_idx, &cfg.grains, cfg.min_crop, &mut vrng);
             tcsl_obs::counters::TRAINER_PAIRS.add(pairs.len() as u64);
+            let pooled = pool_pairs(&ps, bank, cfg, &pairs);
             let vals = parallel_map(pairs.len(), |p| {
-                let mut g = Graph::new();
-                let bound = BoundBank {
-                    group_vars: ps.bind(&mut g),
-                };
-                let mut cache = WindowCache::new();
-                let za = diff_features_batch_via(
-                    cfg.diff_path,
-                    &mut g,
-                    bank,
-                    &bound,
-                    &pairs[p].views_a,
-                    &mut cache,
-                );
-                let zb = diff_features_batch_via(
-                    cfg.diff_path,
-                    &mut g,
-                    bank,
-                    &bound,
-                    &pairs[p].views_b,
-                    &mut cache,
-                );
+                let scope = pooled.as_ref().map(|v| &v[p][..]);
+                let (mut g, _, za, zb) = pair_graph(&ps, bank, &pairs[p], scope);
                 let v = nt_xent(&mut g, za, zb, cfg.temperature);
                 g.value(v).item()
             });
@@ -651,6 +672,56 @@ mod tests {
         }
         for (g1, gd) in b1.groups().iter().zip(bd.groups()) {
             assert_eq!(g1.shapelets, gd.shapelets);
+        }
+    }
+
+    #[test]
+    fn batch_step_bit_identical_to_per_pair_graphs() {
+        // Phase 1 + phase 2 against the per-pair formulation: each pair's
+        // graph pooling its own views through `diff_features_batch`. At
+        // grain 1.0 both sides are the same crops, so the dedupe is
+        // exercised too. Losses and every group's gradient must match
+        // bit for bit.
+        use tcsl_shapelet::diff_transform::diff_features_batch;
+        let (bank, train) = small_setup();
+        let cfg = CslConfig {
+            grains: vec![0.5, 0.75, 1.0],
+            alignment_weight: 0.5,
+            ..CslConfig::fast()
+        };
+        let mut ps = ParamStore::new();
+        for (i, grp) in bank.groups().iter().enumerate() {
+            ps.register(format!("group{i}"), grp.shapelets.clone());
+        }
+        let chunk: Vec<usize> = (0..6).collect();
+        let pairs = sample_views(&train, &chunk, &cfg.grains, cfg.min_crop, &mut seeded(21));
+        assert!(pairs[2]
+            .views_a
+            .iter()
+            .zip(&pairs[2].views_b)
+            .all(|(a, b)| a == b));
+        let pooled = pool_pairs(&ps, &bank, &cfg, &pairs).unwrap();
+        for (p, pair) in pairs.iter().enumerate() {
+            let got = pair_forward_backward(&ps, &bank, &cfg, pair, Some(&pooled[p][..]));
+            let mut g = Graph::new();
+            let bound = BoundBank {
+                group_vars: ps.bind(&mut g),
+            };
+            let za = diff_features_batch(&mut g, &bank, &bound, &pair.views_a);
+            let zb = diff_features_batch(&mut g, &bank, &bound, &pair.views_b);
+            let contrast = nt_xent(&mut g, za, zb, cfg.temperature);
+            let align = multi_scale_alignment(&mut g, &bank, za);
+            let weighted = g.mul_scalar(align, cfg.alignment_weight);
+            let loss = g.add(contrast, weighted);
+            let mut grads = g.backward(loss);
+            let want = ps.collect_grads(&mut grads, &bound.group_vars);
+            assert_eq!(got.contrast.to_bits(), g.value(contrast).item().to_bits());
+            assert_eq!(got.align.to_bits(), g.value(align).item().to_bits());
+            for (gi, (a, b)) in got.grads.iter().zip(&want).enumerate() {
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "pair {p} group {gi}");
+            }
         }
     }
 

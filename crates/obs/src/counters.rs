@@ -185,9 +185,13 @@ impl Drop for LocalCounter {
 
 // --- Well-known instruments (always present in reports) -----------------
 
-/// Fused-path `WindowCache` hit (same series value, scale, stride reused).
+/// Fused training forward, one lookup per (view, group) that reused
+/// window state: a later group of a scale whose `ScaleWindows` the view
+/// already built, or any group of a view deduped against an equal view of
+/// its pair.
 pub static WINDOW_CACHE_HIT: Counter = Counter::new("window_cache.hit");
-/// Fused-path `WindowCache` miss (a fresh `ScaleWindows` was computed).
+/// Fused training forward, one per `ScaleWindows` built (a distinct view's
+/// first group of each scale).
 pub static WINDOW_CACHE_MISS: Counter = Counter::new("window_cache.miss");
 /// Dot products dispatched to the runtime AVX2+FMA kernels. Counted in
 /// batches by the callers' loops (`count_dot_dispatch`), never inside

@@ -531,8 +531,10 @@ impl ShapeletBank {
                 g.k()
             );
             for k in 0..g.k() {
-                let row: Vec<String> = g.shapelets.row(k).iter().map(|x| x.to_string()).collect();
-                let _ = writeln!(out, "{}", row.join(" "));
+                for (i, x) in g.shapelets.row(k).iter().enumerate() {
+                    let _ = write!(out, "{}{x}", if i == 0 { "" } else { " " });
+                }
+                out.push('\n');
             }
         }
         out
@@ -822,6 +824,31 @@ mod tests {
             assert_eq!(g1.measure, g2.measure);
             assert!(g1.shapelets.max_abs_diff(&g2.shapelets) < 1e-5);
         }
+    }
+
+    #[test]
+    fn to_text_bytes_are_pinned() {
+        let cfg = ShapeletConfig {
+            lengths: vec![2],
+            k_per_group: 2,
+            measures: vec![Measure::Euclidean, Measure::CrossCorrelation],
+            stride: 1,
+        };
+        let mut b = ShapeletBank::new(&cfg, 1);
+        let rows: [[f32; 4]; 2] = [[0.5, -0.0, 1e-7, 3.0], [-1.25, 123456.79, 0.1, 2.0]];
+        for (grp, vals) in b.groups_mut().iter_mut().zip(rows) {
+            grp.shapelets = Tensor::from_vec(vals.to_vec(), [2, 2]);
+        }
+        assert_eq!(
+            b.to_text(),
+            "tcsl-bank v1 d=1 groups=2\n\
+             group len=2 stride=1 measure=euc k=2\n\
+             0.5 -0\n\
+             0.0000001 3\n\
+             group len=2 stride=1 measure=xcorr k=2\n\
+             -1.25 123456.79\n\
+             0.1 2\n"
+        );
     }
 
     #[test]

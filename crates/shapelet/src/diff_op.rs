@@ -8,14 +8,17 @@
 //! graph, per batch — the exact materialization the fused inference kernel
 //! eliminated. This op instead:
 //!
-//! * **forward** — pools one (scale, measure) group over a shared
-//!   [`ScaleWindows`] via [`pool_measure`] (streaming dots, prefix-sum
-//!   window norms, bank-side tap repack from [`GroupPrecomp`]), recording
-//!   the best-window index per shapelet;
+//! * **pools before it is inserted** — [`ShapeletDistanceOp::pool`] runs
+//!   one (scale, measure) group over a [`ScaleWindows`] via
+//!   [`pool_measure`] (streaming dots, prefix-sum window norms, bank-side
+//!   tap repack from [`GroupPrecomp`]) and keeps the pooled features, the
+//!   best-window index per shapelet and that window's inverse norm. The
+//!   batch forward in [`crate::diff_transform`] does this once per
+//!   distinct view, so `forward` only replays the stored features;
 //! * **backward** — routes the adjoint of each pooled feature to its best
 //!   window only (the min/max-pooling subgradient) and applies the
 //!   per-measure analytic rule against that one window, read straight out
-//!   of the series buffer ([`window_row_into`]) — peak memory is one
+//!   of the padded view ([`window_row_into`]) — peak memory is one
 //!   `D·len` scratch row, never `N_w × D·len`.
 //!
 //! The numerics match the oracle graph exactly, epsilon for epsilon:
@@ -26,12 +29,12 @@
 //! Gradients are finite-difference checked per measure × stride and
 //! property-pinned to the oracle graph's gradients in `crate::proptests`.
 
-// Exempt from the error wall (clippy.toml) — autodiff op internals: width/lock invariants are
-// construction-time guarantees, not request input.
+// Exempt from the error wall (clippy.toml) — autodiff op internals: width
+// invariants are construction-time guarantees, not request input.
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::bank::GroupPrecomp;
 use crate::fused::{pool_measure, ScaleWindows};
@@ -47,43 +50,57 @@ pub const EUCLIDEAN_SQRT_EPS: f32 = 1e-8;
 /// One (scale, measure) group's pooled shapelet distances as a single tape
 /// node: input `(K, D·len)` shapelets, output `(1, K)` pooled features.
 ///
-/// The series side ([`ScaleWindows`]: padded buffer + prefix-sum window
-/// norms) is captured by the op and shared — via `Arc` — across all
-/// measures of a scale and across identical views of a training pair. One
-/// op instance backs one graph node: `forward` stashes the best-window
-/// indices for `backward` (interior mutability — the tape takes `&self`),
-/// and `backward` falls back to recomputing them if the stash was already
-/// consumed (e.g. a second `backward` sweep over the same tape).
+/// The op carries its forward: it is built by [`Self::pool`] against the
+/// shapelet values the graph binds, and `forward` returns those features
+/// without pooling again. It is immutable, so one `Arc` may back several
+/// graph nodes (the identical views of a contrastive pair share theirs).
 pub struct ShapeletDistanceOp {
-    sw: Arc<ScaleWindows>,
+    /// The view the windows were read from, zero-padded to at least the
+    /// scale's length. Padding beyond the scale's own `pad_to_len` is
+    /// zeros too, so every window reads the same values either way.
+    view: Arc<Tensor>,
+    len: usize,
+    stride: usize,
     measure: Measure,
-    saved_args: Mutex<Option<Vec<usize>>>,
+    /// Pooled feature per shapelet (Euclidean already softened).
+    pooled: Vec<f32>,
+    /// Best-window index per shapelet.
+    args: Vec<usize>,
+    /// `1 / √(‖w*‖² + 1e-12)` of each shapelet's best window (cosine's
+    /// window-side factor).
+    best_inv_norms: Vec<f32>,
 }
 
 impl ShapeletDistanceOp {
-    /// Builds the op for one group: shared series-side window state plus
-    /// the group's measure.
-    pub fn new(sw: Arc<ScaleWindows>, measure: Measure) -> Self {
-        ShapeletDistanceOp {
-            sw,
-            measure,
-            saved_args: Mutex::new(None),
-        }
-    }
-
-    /// Pools the given shapelet rows, returning the pooled feature per
-    /// shapelet and the best-window index per shapelet. Euclidean applies
-    /// the oracle path's `sqrt_eps` softening to the pooled value (the
-    /// argmin is unaffected — see the module docs).
-    fn pool(&self, shapelets: &Tensor) -> (Vec<f32>, Vec<usize>) {
-        let pre = GroupPrecomp::of(shapelets);
-        let (mut pooled, args) = pool_measure(&self.sw, self.measure, &pre);
-        if self.measure == Measure::Euclidean {
+    /// Pools the group's shapelets (`pre`, built from the values the graph
+    /// will bind) over one scale's windows of `view`. `sw` must be that
+    /// scale's [`ScaleWindows`] of the same series; `view` may be padded
+    /// further than `sw.padded`. Euclidean applies the oracle path's
+    /// `sqrt_eps` softening to the pooled value (the argmin is unaffected —
+    /// see the module docs).
+    pub fn pool(
+        view: Arc<Tensor>,
+        sw: &ScaleWindows,
+        measure: Measure,
+        pre: &GroupPrecomp,
+    ) -> Self {
+        debug_assert!(view.rows() == sw.padded.rows() && view.cols() >= sw.padded.cols());
+        let (mut pooled, args) = pool_measure(sw, measure, pre);
+        if measure == Measure::Euclidean {
             for p in &mut pooled {
                 *p = (*p * *p + EUCLIDEAN_SQRT_EPS).sqrt();
             }
         }
-        (pooled, args)
+        let best_inv_norms = args.iter().map(|&a| sw.inv_norms[a]).collect();
+        ShapeletDistanceOp {
+            view,
+            len: sw.len,
+            stride: sw.stride,
+            measure,
+            pooled,
+            args,
+            best_inv_norms,
+        }
     }
 }
 
@@ -91,8 +108,11 @@ impl fmt::Debug for ShapeletDistanceOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "ShapeletDistanceOp({:?}, len={}, stride={}, windows={})",
-            self.measure, self.sw.len, self.sw.stride, self.sw.n
+            "ShapeletDistanceOp({:?}, len={}, stride={}, k={})",
+            self.measure,
+            self.len,
+            self.stride,
+            self.pooled.len()
         )
     }
 }
@@ -103,13 +123,11 @@ impl CustomOp for ShapeletDistanceOp {
         let shapelets = inputs[0];
         assert_eq!(
             shapelets.cols(),
-            self.sw.padded.rows() * self.sw.len,
+            self.view.rows() * self.len,
             "shapelet width must be D·len"
         );
-        let (pooled, args) = self.pool(shapelets);
-        let k = pooled.len();
-        *self.saved_args.lock().expect("saved-args lock poisoned") = Some(args);
-        Tensor::from_vec(pooled, [1, k])
+        assert_eq!(shapelets.rows(), self.pooled.len(), "shapelet count");
+        Tensor::from_vec(self.pooled.clone(), [1, self.pooled.len()])
     }
 
     fn backward(
@@ -120,17 +138,8 @@ impl CustomOp for ShapeletDistanceOp {
     ) -> Vec<Option<Tensor>> {
         let shapelets = inputs[0];
         let k = shapelets.rows();
-        let sw = &*self.sw;
-        let len = sw.len;
         let row_w = shapelets.cols();
         let width = row_w as f32;
-        let args = self
-            .saved_args
-            .lock()
-            .expect("saved-args lock poisoned")
-            .take()
-            .unwrap_or_else(|| self.pool(shapelets).1);
-        debug_assert_eq!(args.len(), k);
 
         let g = grad_out.as_slice();
         let out = output.as_slice();
@@ -142,7 +151,7 @@ impl CustomOp for ShapeletDistanceOp {
             if gk == 0.0 {
                 continue;
             }
-            window_row_into(&sw.padded, args[kk] * sw.stride, len, &mut wrow);
+            window_row_into(&self.view, self.args[kk] * self.stride, self.len, &mut wrow);
             let srow = shapelets.row(kk);
             let drow = grad.row_mut(kk);
             match self.measure {
@@ -162,7 +171,7 @@ impl CustomOp for ShapeletDistanceOp {
                     // f = ŵ*·ŝ with ŵ = w/√(‖w‖²+1e-12), ŝ = s/n,
                     // n = √(‖s‖²+1e-12). ∂f/∂s = (ŵ* − ŝ·f)/n — the
                     // tangent-space gradient of the oracle's row_normalize.
-                    let inv_w = sw.inv_norms[args[kk]];
+                    let inv_w = self.best_inv_norms[kk];
                     let s_sq: f32 = srow.iter().map(|&x| x * x).sum();
                     let n = (s_sq + 1e-12).sqrt();
                     let f = out[kk];
@@ -191,26 +200,39 @@ mod tests {
     use tcsl_autodiff::Graph;
     use tcsl_tensor::rng::seeded;
 
-    /// Finite-difference check of the analytic backward, one measure and
-    /// stride at a time, through a square + mean head (so every feature
-    /// contributes a distinct adjoint).
-    fn check_measure_stride(measure: Measure, stride: usize, seed: u64) {
-        let mut rng = seeded(seed);
-        let d = 1 + (seed as usize) % 2;
-        let len = 4;
-        let series = Tensor::randn([d, 19], &mut rng);
-        let shapelets = Tensor::randn([3, d * len], &mut rng).scale(0.6);
-        let sw = Arc::new(ScaleWindows::new(&series, len, stride));
+    /// The op for one series at one scale and measure, pooled against
+    /// `shapelets` over the series padded to the scale's own length.
+    fn op_for(
+        series: &Tensor,
+        len: usize,
+        stride: usize,
+        measure: Measure,
+        shapelets: &Tensor,
+    ) -> Arc<ShapeletDistanceOp> {
+        let sw = ScaleWindows::new(series, len, stride);
+        let view = Arc::new(sw.padded.clone());
+        Arc::new(ShapeletDistanceOp::pool(
+            view,
+            &sw,
+            measure,
+            &GroupPrecomp::of(shapelets),
+        ))
+    }
+
+    /// Finite-difference check of the analytic backward through a square +
+    /// mean head (so every feature contributes a distinct adjoint). The op
+    /// is pooled inside the closure, against each perturbed input.
+    fn check_gradients(series: &Tensor, shapelets: Tensor, len: usize, stride: usize, m: Measure) {
         let report = gradcheck(&[shapelets], 1e-3, |g, xs| {
             let s = g.param(xs[0].clone());
-            let feats = g.custom(Arc::new(ShapeletDistanceOp::new(sw.clone(), measure)), &[s]);
+            let feats = g.custom(op_for(series, len, stride, m, &xs[0]), &[s]);
             let sq = g.square(feats);
             let loss = g.mean_all(sq);
             (vec![s], loss)
         });
         assert!(
             report.passes(3e-2),
-            "{measure:?} stride {stride}: gradcheck failed abs={} rel={}",
+            "{m:?} len {len} stride {stride}: gradcheck failed abs={} rel={}",
             report.max_abs_err,
             report.max_rel_err
         );
@@ -220,7 +242,13 @@ mod tests {
     fn gradcheck_every_measure_and_stride() {
         for (i, &measure) in Measure::ALL.iter().enumerate() {
             for stride in 1..=3 {
-                check_measure_stride(measure, stride, 40 + (i * 3 + stride) as u64);
+                let seed = 40 + (i * 3 + stride) as u64;
+                let mut rng = seeded(seed);
+                let d = 1 + (seed as usize) % 2;
+                let len = 4;
+                let series = Tensor::randn([d, 19], &mut rng);
+                let shapelets = Tensor::randn([3, d * len], &mut rng).scale(0.6);
+                check_gradients(&series, shapelets, len, stride, measure);
             }
         }
     }
@@ -234,20 +262,7 @@ mod tests {
             let mut rng = seeded(60);
             let series = Tensor::randn([1, 3], &mut rng);
             let shapelets = Tensor::randn([2, 6], &mut rng).scale(0.5);
-            let sw = Arc::new(ScaleWindows::new(&series, 6, 1));
-            let report = gradcheck(&[shapelets], 1e-3, |g, xs| {
-                let s = g.param(xs[0].clone());
-                let feats = g.custom(Arc::new(ShapeletDistanceOp::new(sw.clone(), measure)), &[s]);
-                let sq = g.square(feats);
-                let loss = g.mean_all(sq);
-                (vec![s], loss)
-            });
-            assert!(
-                report.passes(3e-2),
-                "{measure:?} padded: abs={} rel={}",
-                report.max_abs_err,
-                report.max_rel_err
-            );
+            check_gradients(&series, shapelets, 6, 1, measure);
         }
     }
 
@@ -256,30 +271,27 @@ mod tests {
         let mut rng = seeded(61);
         let series = Tensor::randn([2, 30], &mut rng);
         let shapelets = Tensor::randn([5, 2 * 4], &mut rng);
-        let sw = Arc::new(ScaleWindows::new(&series, 4, 1));
         let mut g = Graph::new();
+        let op = op_for(&series, 4, 1, Measure::Euclidean, &shapelets);
         let s = g.param(shapelets);
-        let feats = g.custom(
-            Arc::new(ShapeletDistanceOp::new(sw, Measure::Euclidean)),
-            &[s],
-        );
+        let feats = g.custom(op, &[s]);
         let v = g.value(feats);
         assert_eq!(v.shape().dims(), &[1, 5]);
         assert!(v.as_slice().iter().all(|&x| x >= 0.0));
     }
 
     #[test]
-    fn second_backward_sweep_recomputes_saved_args() {
-        // The first backward consumes the stashed best-window indices; a
-        // second sweep over the same tape must transparently recompute
-        // them and produce identical gradients.
+    fn two_backward_sweeps_give_identical_gradients() {
+        // The op keeps its forward state instead of handing it to the
+        // first sweep, so a second sweep over the same tape sees the same
+        // best windows and produces identical gradients.
         let mut rng = seeded(62);
         let series = Tensor::randn([1, 25], &mut rng);
         let shapelets = Tensor::randn([3, 5], &mut rng);
-        let sw = Arc::new(ScaleWindows::new(&series, 5, 2));
         let mut g = Graph::new();
+        let op = op_for(&series, 5, 2, Measure::Cosine, &shapelets);
         let s = g.param(shapelets);
-        let feats = g.custom(Arc::new(ShapeletDistanceOp::new(sw, Measure::Cosine)), &[s]);
+        let feats = g.custom(op, &[s]);
         let sq = g.square(feats);
         let loss = g.mean_all(sq);
         let g1 = g.backward(loss);
@@ -287,7 +299,7 @@ mod tests {
         assert_eq!(
             g1.get(s).unwrap().as_slice(),
             g2.get(s).unwrap().as_slice(),
-            "recomputed args diverged from saved args"
+            "second sweep diverged from the first"
         );
     }
 }

@@ -1,13 +1,20 @@
 //! Differentiable shapelet transform for training.
 //!
 //! Gradients only flow to the *shapelets* (and any head stacked on top) —
-//! never to the input series — so the series side is precomputed once per
-//! (series, scale, stride) as a [`ScaleWindows`] (padded buffer +
-//! prefix-sum window norms) and captured by a
-//! [`ShapeletDistanceOp`] custom tape op per group. The op runs the same
-//! fused streaming kernel as inference in its forward and an arg-routed
-//! analytic rule in its backward, so training never materializes the
-//! `(N_w × D·len)` window matrix.
+//! never to the input series — so the whole forward pass can run before
+//! any graph exists. [`pool_scopes`] pools every distinct view of a batch
+//! once, batch-wide on the pool: per view it builds each scale's
+//! [`ScaleWindows`] (padded buffer + prefix-sum window norms) in turn,
+//! pools every group of that scale with the fused streaming kernel
+//! inference runs, and drops the windows again. What survives is one
+//! [`ShapeletDistanceOp`] per (view, group) carrying the pooled features,
+//! best windows and the padded view. [`replay_batch`] inserts those ops
+//! into a graph bound to the same values; the ops' arg-routed
+//! analytic backward reads the best windows out of the view, so training
+//! never materializes the `(N_w × D·len)` window matrix.
+//!
+//! [`diff_features`]/[`diff_features_batch`] wrap both phases for callers
+//! that hold one graph (fine-tuning, proptests, gradchecks).
 //!
 //! The original eager-graph formulation — windows materialized into a
 //! constant leaf, distances assembled from `matmul`/`relu`/`min_axis` ops —
@@ -22,10 +29,12 @@
 
 use std::sync::Arc;
 
-use crate::bank::ShapeletBank;
+use crate::bank::{GroupPrecomp, ShapeletBank};
 use crate::diff_op::ShapeletDistanceOp;
 use crate::fused::ScaleWindows;
+use crate::transform::pad_to_len;
 use tcsl_autodiff::{Graph, VarId};
+use tcsl_tensor::parallel::parallel_map;
 use tcsl_tensor::Tensor;
 
 /// Which implementation of the differentiable transform to run.
@@ -85,98 +94,107 @@ pub fn bind_frozen(g: &mut Graph, bank: &ShapeletBank) -> BoundBank {
     }
 }
 
-/// Cache of series-side window state, shared across graph nodes.
+/// The pooled forward of one view against every group of a bank: one
+/// [`ShapeletDistanceOp`] per group, in bank order.
+pub type PooledView = Vec<Arc<ShapeletDistanceOp>>;
+
+/// Pools every view of every scope against every group of `bank`, with
+/// shapelet values `values` (one `(K, D·len)` tensor per group, in bank
+/// order — the snapshot the graphs will bind). Returns one pooled view per
+/// input view, in input order.
 ///
-/// One [`ScaleWindows`] is an `O(D·T)` pass (padding + prefix-sum norms);
-/// every (scale, measure) group of the bank needs one, and during
-/// contrastive training the *same* series value recurs across graph nodes
-/// — full-grain views of a pair are bit-identical crops. Entries are keyed
-/// by `(len, stride)` plus value equality of the series, so a hit requires
-/// the cached padded buffer to start with exactly the series' values (the
-/// [`ScaleWindows`] is a pure function of those three, so equal keys mean
-/// an equal result).
-///
-/// The cache hands out `Arc`s: each [`ShapeletDistanceOp`] keeps its
-/// window state alive for backward without copying it.
-#[derive(Default)]
-pub struct WindowCache {
-    entries: Vec<CacheEntry>,
-    hits: usize,
-    misses: usize,
-}
-
-struct CacheEntry {
-    /// Column count of the original (pre-padding) series.
-    orig_cols: usize,
-    sw: Arc<ScaleWindows>,
-}
-
-impl WindowCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the window state for `(series, len, stride)`, computing and
-    /// retaining it on first use.
-    pub fn get(&mut self, series: &Tensor, len: usize, stride: usize) -> Arc<ScaleWindows> {
-        if let Some(e) = self.entries.iter().find(|e| e.matches(series, len, stride)) {
-            self.hits += 1;
-            tcsl_obs::counters::WINDOW_CACHE_HIT.add(1);
-            return Arc::clone(&e.sw);
-        }
-        self.misses += 1;
-        tcsl_obs::counters::WINDOW_CACHE_MISS.add(1);
-        let sw = Arc::new(ScaleWindows::new(series, len, stride));
-        self.entries.push(CacheEntry {
-            orig_cols: series.cols(),
-            sw: Arc::clone(&sw),
-        });
-        sw
-    }
-
-    /// Cache hits so far (same series value, scale and stride seen before).
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Cache misses so far (each one computed a fresh [`ScaleWindows`]).
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-}
-
-impl CacheEntry {
-    fn matches(&self, series: &Tensor, len: usize, stride: usize) -> bool {
-        // `padded` zero-extends the series at the tail, so prefix equality
-        // over `orig_cols` columns is value equality of the series itself.
-        self.sw.matches(len, stride)
-            && self.orig_cols == series.cols()
-            && self.sw.padded.rows() == series.rows()
-            && (0..series.rows()).all(|v| self.sw.padded.row(v)[..self.orig_cols] == *series.row(v))
-    }
-}
-
-/// Builds the feature row `(1, D_repr)` of one series against the bound
-/// bank, sharing window state through `cache`. Pass the same cache across
-/// the series of a batch (and across the views of a contrastive pair) to
-/// reuse padded buffers and prefix-sum norms wherever series values repeat.
-pub fn diff_features_cached(
-    g: &mut Graph,
+/// Views are deduped by value within their scope (e.g. both sides of a
+/// contrastive pair): full-grain views of a pair are bit-identical crops,
+/// so each is pooled once and the equal views share its ops. Every
+/// distinct view is one task of a single `parallel_map`, and each value is
+/// a pure function of the view and the shapelets, so the result is the
+/// same at any thread count. The `window_cache.*` counters count one
+/// lookup per (view, group) and a miss per [`ScaleWindows`] built.
+pub fn pool_scopes(
     bank: &ShapeletBank,
-    bound: &BoundBank,
-    series: &Tensor,
-    cache: &mut WindowCache,
-) -> VarId {
-    assert_eq!(series.rows(), bank.d, "series/bank variable count mismatch");
-    let mut parts: Vec<VarId> = Vec::with_capacity(bank.groups().len());
-    for (gi, grp) in bank.groups().iter().enumerate() {
-        let sw = cache.get(series, grp.len, grp.stride);
-        let op = Arc::new(ShapeletDistanceOp::new(sw, grp.measure));
-        let pooled = g.custom(op, &[bound.group_vars[gi]]);
-        parts.push(pooled);
-    }
-    g.concat_cols(&parts)
+    values: &[&Tensor],
+    scopes: &[Vec<&Tensor>],
+) -> Vec<Vec<PooledView>> {
+    let groups = bank.groups();
+    assert_eq!(values.len(), groups.len(), "one value tensor per group");
+    let pre: Vec<GroupPrecomp> = values.iter().map(|v| GroupPrecomp::of(v)).collect();
+    // Dedupe by value: length first, then every sample.
+    let mut distinct: Vec<&Tensor> = Vec::new();
+    let slots: Vec<Vec<usize>> = scopes
+        .iter()
+        .map(|views| {
+            let first = distinct.len();
+            views
+                .iter()
+                .map(|&v| {
+                    assert_eq!(v.rows(), bank.d, "series/bank variable count mismatch");
+                    let seen = distinct[first..]
+                        .iter()
+                        .position(|u| u.cols() == v.cols() && u.as_slice() == v.as_slice());
+                    if let Some(i) = seen {
+                        tcsl_obs::counters::WINDOW_CACHE_HIT.add(groups.len() as u64);
+                        return first + i;
+                    }
+                    distinct.push(v);
+                    distinct.len() - 1
+                })
+                .collect()
+        })
+        .collect();
+    let max_len = groups.iter().map(|grp| grp.len).max().unwrap_or(0);
+    let pooled = parallel_map(distinct.len(), |i| {
+        pool_view(bank, &pre, distinct[i], max_len)
+    });
+    slots
+        .iter()
+        .map(|scope| scope.iter().map(|&i| pooled[i].clone()).collect())
+        .collect()
+}
+
+/// Pools one view against every group. The bank is scale-major, so each
+/// scale's [`ScaleWindows`] is built once and dropped when the next scale
+/// starts.
+fn pool_view(
+    bank: &ShapeletBank,
+    pre: &[GroupPrecomp],
+    view: &Tensor,
+    max_len: usize,
+) -> PooledView {
+    let padded = Arc::new(pad_to_len(view, max_len));
+    let mut sw: Option<ScaleWindows> = None;
+    bank.groups()
+        .iter()
+        .zip(pre)
+        .map(|(grp, pre)| {
+            if matches!(&sw, Some(s) if s.matches(grp.len, grp.stride)) {
+                tcsl_obs::counters::WINDOW_CACHE_HIT.add(1);
+            } else {
+                tcsl_obs::counters::WINDOW_CACHE_MISS.add(1);
+                sw = None;
+            }
+            let sw = sw.get_or_insert_with(|| ScaleWindows::new(view, grp.len, grp.stride));
+            let op = ShapeletDistanceOp::pool(Arc::clone(&padded), sw, grp.measure, pre);
+            Arc::new(op)
+        })
+        .collect()
+}
+
+/// Inserts pooled views into `g` as their `(B, D_repr)` feature matrix.
+/// `bound` must bind the values the views were pooled against.
+pub fn replay_batch(g: &mut Graph, bound: &BoundBank, views: &[PooledView]) -> VarId {
+    assert!(!views.is_empty(), "empty batch");
+    let rows: Vec<VarId> = views
+        .iter()
+        .map(|ops| {
+            let parts: Vec<VarId> = ops
+                .iter()
+                .zip(&bound.group_vars)
+                .map(|(op, &var)| g.custom(Arc::clone(op) as _, &[var]))
+                .collect();
+            g.concat_cols(&parts)
+        })
+        .collect();
+    g.concat_rows(&rows)
 }
 
 /// Builds the feature row `(1, D_repr)` of one series against the bound
@@ -187,52 +205,21 @@ pub fn diff_features(
     bound: &BoundBank,
     series: &Tensor,
 ) -> VarId {
-    let mut cache = WindowCache::new();
-    diff_features_cached(g, bank, bound, series, &mut cache)
+    diff_features_batch(g, bank, bound, std::slice::from_ref(series))
 }
 
-/// Builds the `(B, D_repr)` feature matrix of a batch of series, sharing
-/// window state through `cache`.
-pub fn diff_features_batch_cached(
-    g: &mut Graph,
-    bank: &ShapeletBank,
-    bound: &BoundBank,
-    batch: &[Tensor],
-    cache: &mut WindowCache,
-) -> VarId {
-    assert!(!batch.is_empty(), "empty batch");
-    let rows: Vec<VarId> = batch
-        .iter()
-        .map(|s| diff_features_cached(g, bank, bound, s, cache))
-        .collect();
-    g.concat_rows(&rows)
-}
-
-/// Builds the `(B, D_repr)` feature matrix of a batch of series.
+/// Builds the `(B, D_repr)` feature matrix of a batch of series, pooled
+/// against the values `bound` holds in `g`; equal series in the batch are
+/// pooled once.
 pub fn diff_features_batch(
     g: &mut Graph,
     bank: &ShapeletBank,
     bound: &BoundBank,
     batch: &[Tensor],
 ) -> VarId {
-    let mut cache = WindowCache::new();
-    diff_features_batch_cached(g, bank, bound, batch, &mut cache)
-}
-
-/// Batch features via the selected [`DiffPath`]. The cache is only
-/// consulted on the fused path (the oracle builds its own leaves).
-pub fn diff_features_batch_via(
-    path: DiffPath,
-    g: &mut Graph,
-    bank: &ShapeletBank,
-    bound: &BoundBank,
-    batch: &[Tensor],
-    cache: &mut WindowCache,
-) -> VarId {
-    match path {
-        DiffPath::Fused => diff_features_batch_cached(g, bank, bound, batch, cache),
-        DiffPath::Oracle => oracle::diff_features_batch_oracle(g, bank, bound, batch),
-    }
+    let values: Vec<&Tensor> = bound.group_vars.iter().map(|&v| g.value(v)).collect();
+    let pooled = pool_scopes(bank, &values, &[batch.iter().collect()]);
+    replay_batch(g, bound, &pooled[0])
 }
 
 /// Writes updated parameter values (from an optimizer step) back into the
@@ -433,31 +420,186 @@ mod tests {
         }
     }
 
-    #[test]
-    fn window_cache_reuses_state_across_identical_series() {
-        let b = bank(1);
-        let mut rng = seeded(15);
-        let series = Tensor::randn([1, 30], &mut rng);
-        let other = Tensor::randn([1, 30], &mut rng);
+    /// The view-by-view reference: an op per (view, group) that pools its
+    /// own forward over that view's own [`ScaleWindows`] when the graph
+    /// inserts it, and again in backward.
+    #[derive(Debug)]
+    struct PerViewOp {
+        series: Tensor,
+        len: usize,
+        stride: usize,
+        measure: Measure,
+    }
+
+    impl PerViewOp {
+        fn pooled(&self, shapelets: &Tensor) -> ShapeletDistanceOp {
+            let sw = ScaleWindows::new(&self.series, self.len, self.stride);
+            let view = Arc::new(sw.padded.clone());
+            ShapeletDistanceOp::pool(view, &sw, self.measure, &GroupPrecomp::of(shapelets))
+        }
+    }
+
+    impl tcsl_autodiff::CustomOp for PerViewOp {
+        fn forward(&self, inputs: &[&Tensor]) -> Tensor {
+            self.pooled(inputs[0]).forward(inputs)
+        }
+
+        fn backward(
+            &self,
+            grad_out: &Tensor,
+            inputs: &[&Tensor],
+            output: &Tensor,
+        ) -> Vec<Option<Tensor>> {
+            self.pooled(inputs[0]).backward(grad_out, inputs, output)
+        }
+    }
+
+    fn per_view_features_batch(
+        g: &mut Graph,
+        bank: &ShapeletBank,
+        bound: &BoundBank,
+        batch: &[Tensor],
+    ) -> VarId {
+        let rows: Vec<VarId> = batch
+            .iter()
+            .map(|series| {
+                let parts: Vec<VarId> = bank
+                    .groups()
+                    .iter()
+                    .zip(&bound.group_vars)
+                    .map(|(grp, &var)| {
+                        let op = PerViewOp {
+                            series: series.clone(),
+                            len: grp.len,
+                            stride: grp.stride,
+                            measure: grp.measure,
+                        };
+                        g.custom(Arc::new(op), &[var])
+                    })
+                    .collect();
+                g.concat_cols(&parts)
+            })
+            .collect();
+        g.concat_rows(&rows)
+    }
+
+    /// Features of both sides and the gradient of every group under a loss
+    /// that mixes the sides, as `to_bits` words.
+    fn pair_bits(
+        bank: &ShapeletBank,
+        views_a: &[Tensor],
+        views_b: &[Tensor],
+        batch_forward: bool,
+    ) -> Vec<Vec<u32>> {
         let mut g = Graph::new();
-        let bound = bind_trainable(&mut g, &b);
-        let mut cache = WindowCache::new();
-        // Bank has 2 scales × 3 measures: 6 lookups per series, 2 distinct
-        // (len, stride) keys per distinct series value.
-        diff_features_cached(&mut g, &b, &bound, &series, &mut cache);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 4);
-        // The same series value again: all lookups hit.
-        diff_features_cached(&mut g, &b, &bound, &series, &mut cache);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 10);
-        // A different series value misses.
-        diff_features_cached(&mut g, &b, &bound, &other, &mut cache);
-        assert_eq!(cache.misses(), 4);
+        let bound = bind_trainable(&mut g, bank);
+        let (za, zb) = if batch_forward {
+            let values: Vec<Tensor> = bank
+                .groups()
+                .iter()
+                .map(|grp| grp.shapelets.clone())
+                .collect();
+            let refs: Vec<&Tensor> = values.iter().collect();
+            let scope: Vec<&Tensor> = views_a.iter().chain(views_b).collect();
+            let pooled = pool_scopes(bank, &refs, &[scope]);
+            let (a, b) = pooled[0].split_at(views_a.len());
+            (
+                replay_batch(&mut g, &bound, a),
+                replay_batch(&mut g, &bound, b),
+            )
+        } else {
+            (
+                per_view_features_batch(&mut g, bank, &bound, views_a),
+                per_view_features_batch(&mut g, bank, &bound, views_b),
+            )
+        };
+        let cross = g.mul(za, zb);
+        let sq = g.square(za);
+        let mixed = g.add(cross, sq);
+        let loss = g.mean_all(mixed);
+        let grads = g.backward(loss);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut out = vec![bits(g.value(za)), bits(g.value(zb))];
+        out.extend(
+            bound
+                .group_vars
+                .iter()
+                .map(|&id| bits(grads.get(id).unwrap())),
+        );
+        out
     }
 
     #[test]
-    fn diff_path_selector_routes_both_paths() {
+    fn batch_forward_bit_identical_to_per_view_reference() {
+        use crate::fused::tie_heavy_series;
+        for d in 1..=3 {
+            for stride in 1..=3 {
+                let cfg = ShapeletConfig {
+                    lengths: vec![3, 7, 12],
+                    k_per_group: 5,
+                    measures: Measure::ALL.to_vec(),
+                    stride,
+                };
+                let mut b = ShapeletBank::new(&cfg, d);
+                b.randomize(&mut seeded(30 + d as u64));
+                let seed = (10 * d + stride) as u64;
+                // Lengths 9 and 2 are shorter than the longest scale (and
+                // 2 than every scale): the padding path.
+                let views_a = vec![
+                    tie_heavy_series(d, 40, seed),
+                    Tensor::randn([d, 9], &mut seeded(seed + 1)),
+                    Tensor::randn([d, 2], &mut seeded(seed + 2)),
+                ];
+                let views_b = vec![
+                    views_a[0].clone(),
+                    Tensor::randn([d, 9], &mut seeded(seed + 3)),
+                    tie_heavy_series(d, 25, seed + 4),
+                ];
+                for (a, b_side) in [(&views_a, &views_b), (&views_a, &views_a)] {
+                    let got = pair_bits(&b, a, b_side, true);
+                    let want = pair_bits(&b, a, b_side, false);
+                    assert_eq!(got, want, "d={d} stride={stride}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn identical_sides_pool_each_distinct_view_once() {
+        let b = bank(1);
+        let mut rng = seeded(15);
+        let views: Vec<Tensor> = (0..3).map(|_| Tensor::randn([1, 30], &mut rng)).collect();
+        let values: Vec<&Tensor> = b.groups().iter().map(|grp| &grp.shapelets).collect();
+        let pair: Vec<&Tensor> = views.iter().chain(&views).collect();
+        let one_side: Vec<&Tensor> = views.iter().collect();
+        let scopes = pool_scopes(&b, &values, &[pair, one_side]);
+        let shared = |x: &PooledView, y: &PooledView| {
+            let same: Vec<bool> = x.iter().zip(y).map(|(p, q)| Arc::ptr_eq(p, q)).collect();
+            assert!(
+                same.iter().all(|&s| s == same[0]),
+                "views share some ops only"
+            );
+            same[0]
+        };
+        // Each side-b view reuses its side-a twin's pooled forward, and the
+        // three distinct views were pooled separately.
+        assert_eq!(scopes[0].len(), 6);
+        for i in 0..3 {
+            assert!(shared(&scopes[0][i], &scopes[0][i + 3]));
+            for j in 0..3 {
+                assert_eq!(shared(&scopes[0][i], &scopes[0][j]), i == j);
+            }
+        }
+        // Dedupe is scoped: the second scope pools the same values again.
+        assert!(!shared(&scopes[0][0], &scopes[1][0]));
+        // A prefix of a longer view is not the same view.
+        let prefix = Tensor::from_vec(views[0].as_slice()[..20].to_vec(), [1, 20]);
+        let scopes = pool_scopes(&b, &values, &[vec![&views[0], &prefix]]);
+        assert!(!shared(&scopes[0][0], &scopes[0][1]));
+    }
+
+    #[test]
+    fn fused_batch_matches_oracle_batch() {
         let b = bank(1);
         let mut rng = seeded(16);
         let batch = [
@@ -466,11 +608,8 @@ mod tests {
         ];
         let mut g = Graph::new();
         let bound = bind_trainable(&mut g, &b);
-        let mut cache = WindowCache::new();
-        let fused =
-            diff_features_batch_via(DiffPath::Fused, &mut g, &b, &bound, &batch, &mut cache);
-        let oracle =
-            diff_features_batch_via(DiffPath::Oracle, &mut g, &b, &bound, &batch, &mut cache);
+        let fused = diff_features_batch(&mut g, &b, &bound, &batch);
+        let oracle = diff_features_batch_oracle(&mut g, &b, &bound, &batch);
         let (fv, ov) = (g.value(fused).clone(), g.value(oracle).clone());
         for (&f, &o) in fv.as_slice().iter().zip(ov.as_slice()) {
             assert!((f - o).abs() < 1e-4);

@@ -28,8 +28,9 @@
 //!   series),
 //! * [`diff_transform`] — the autodiff path used during contrastive
 //!   learning and fine-tuning. It runs the *same* fused streaming kernel as
-//!   inference, wrapped in a custom tape op ([`diff_op::ShapeletDistanceOp`])
-//!   with an arg-routed analytic backward; the original eager-graph
+//!   inference, once per distinct view of a batch, and inserts the result
+//!   as a custom tape op ([`diff_op::ShapeletDistanceOp`]) with an
+//!   arg-routed analytic backward; the original eager-graph
 //!   formulation survives as [`diff_transform::oracle`] for parity tests.
 
 pub mod bank;
